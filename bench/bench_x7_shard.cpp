@@ -6,7 +6,7 @@
 // The paper's §5.1 lets a context's authority delegate subtrees to other
 // machines; PR 8 turns that single mechanism into a fabric: many authority
 // shards, subtree delegation records in the AuthorityMap, and referral
-// glue (protocol v5) so a client learns the delegate shard's replica set
+// glue so a client learns the delegate shard's replica set
 // in the referral itself instead of paying another round trip
 // (docs/SHARDING.md).
 //
@@ -330,31 +330,36 @@ void BM_ShardRingLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_ShardRingLookup);
 
-void BM_GlueTailParse(benchmark::State& state) {
-  // Decoding a v5 reply tail: 3 replicas + 2 glue records, the shape a
-  // referral from a 3-replica shard with two delegate children produces.
-  Payload payload;
-  payload.add_u64(3);
+void BM_ReplyDecode(benchmark::State& state) {
+  // Decoding a whole referral: 3 replicas, the lease pair and 2 glue
+  // records, the shape a referral from a 3-replica shard with two
+  // delegate children produces.
+  ResolveReply referral;
+  referral.corr = 42;
+  referral.disposition = NsWire::kReferral;
+  referral.entity = EntityId(100);
+  referral.remaining = "c3/c7/d2";
+  referral.authority = EntityId(100);
+  referral.epoch = 5;
   for (int i = 0; i < 3; ++i) {
-    payload.add_pid(Pid{1, static_cast<Addr>(i + 1), 7});
-    payload.add_u64(static_cast<std::uint64_t>(i));
+    referral.replicas.push_back(WireServer{
+        Pid{1, static_cast<Addr>(i + 1), 7}, MachineId(i)});
   }
   for (std::uint64_t g = 0; g < 2; ++g) {
-    payload.add_u64(g + 100);  // delegated context
-    payload.add_u64(g);        // owning shard
-    payload.add_u64(2);
+    GlueRecord glue{EntityId(g + 100), g, {}};
     for (int i = 0; i < 2; ++i) {
-      payload.add_pid(Pid{2, static_cast<Addr>(i + 1), 7});
-      payload.add_u64(static_cast<std::uint64_t>(10 + i));
+      glue.servers.push_back(WireServer{Pid{2, static_cast<Addr>(i + 1), 7},
+                                        MachineId(10 + i)});
     }
+    referral.glue.push_back(std::move(glue));
   }
+  const Message message = encode_resolve_reply(referral);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(parse_reply_tail(payload, 0, /*expect_lease=*/
-                                              false, /*expect_glue=*/true));
+    benchmark::DoNotOptimize(decode_resolve_reply(message));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-BENCHMARK(BM_GlueTailParse);
+BENCHMARK(BM_ReplyDecode);
 
 void BM_ShardedResolve(benchmark::State& state) {
   // One full shard-routed lookup: referral with glue on the first

@@ -21,9 +21,9 @@
 //     address reuse, the wrong thing). The directory bumps the machine's
 //     incarnation and keeps a bounded-window *rename tombstone* mapping
 //     the old address to the machine — the membership analogue of the
-//     migration forwarding window: stale-routed clients that consult the
-//     directory inside the window re-derive the route; after it closes,
-//     the old address means nothing again.
+//     migration forwarding window: inside it, a stale address maps back
+//     to its machine; after it closes, the old address means nothing
+//     again.
 //
 // Placement planning is the ring (docs/REBALANCING.md): manage_subtrees
 // hands the directory a ShardRing over the delegated children of one

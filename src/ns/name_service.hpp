@@ -53,6 +53,7 @@
 #include "core/naming_graph.hpp"
 #include "core/resolve.hpp"
 #include "net/transport.hpp"
+#include "ns/ns_wire.hpp"
 #include "ns/shard_ring.hpp"
 #include "obs/snapshot.hpp"
 #include "util/hash.hpp"
@@ -189,74 +190,6 @@ class AuthorityMap {
   /// for cycle refusal at install time.
   std::vector<std::vector<ShardId>> delegates_of_;
 };
-
-/// Wire protocol message types and field conventions (Transport
-/// Message::type). See docs/PROTOCOLS.md for the full layouts and the
-/// protocol-version table.
-struct NsWire {
-  static constexpr std::uint32_t kResolveRequest = 100;
-  static constexpr std::uint32_t kResolveReply = 101;
-  /// Primary → secondary update propagation (epoch-stamped full snapshot
-  /// of one context's bindings; idempotent, applied only if newer).
-  static constexpr std::uint32_t kUpdatePush = 102;
-  /// Server → client callback push (protocol v4, docs/COHERENCE.md):
-  /// a lease the server granted is void because the authority rebound.
-  static constexpr std::uint32_t kInvalidate = 103;
-  // Reply dispositions.
-  static constexpr std::uint64_t kAnswer = 0;
-  static constexpr std::uint64_t kReferral = 1;
-  static constexpr std::uint64_t kError = 2;
-  /// Request flags (optional fourth request field, protocol v4).
-  static constexpr std::uint64_t kFlagLeaseRequested = 1;
-  /// Protocol v5 (docs/SHARDING.md): the client understands glue records —
-  /// the server may append a glue tail to referrals.
-  static constexpr std::uint64_t kFlagShardGlue = 2;
-  /// Sentinel for "no entity" in u64 entity fields on the wire.
-  static constexpr std::uint64_t kNoEntity = ~0ULL;
-  /// Sentinel for "machine unknown" in the reply's replica list.
-  static constexpr std::uint64_t kNoMachine = ~0ULL;
-  /// Sentinel for "shard unknown" in u64 shard fields on the wire.
-  static constexpr std::uint64_t kNoShard = ~0ULL;
-};
-
-/// Decoded reply tail: the append-only optional fields after a reply's
-/// eight fixed fields — replica list (v3), lease grant (v4), glue records
-/// (v5). docs/PROTOCOLS.md has the layouts.
-struct ReplyTail {
-  struct Server {
-    Pid pid;
-    std::uint64_t machine = NsWire::kNoMachine;
-  };
-  /// One glue record: "context `ctx` is delegated to shard `shard`, whose
-  /// replica servers are `servers`" — the delegate's replica set learned in
-  /// the same round trip as the referral that crosses into it.
-  struct Glue {
-    std::uint64_t ctx = NsWire::kNoEntity;
-    std::uint64_t shard = NsWire::kNoShard;
-    std::vector<Server> servers;
-  };
-
-  /// False when the fields after `offset` do not parse as exactly the
-  /// expected tails back-to-back; a reply with an invalid tail is treated
-  /// as having no tail at all (replicas/lease/glue all empty), matching
-  /// how pre-v5 parsers skip tails they do not understand.
-  bool valid = false;
-  std::vector<Server> replicas;
-  std::uint64_t lease_duration = 0;
-  std::uint64_t lease_id = 0;
-  std::vector<Glue> glue;
-};
-
-/// Parse the optional tails of a kResolveReply payload starting at field
-/// `offset` (the first field after the fixed ones). `expect_lease` /
-/// `expect_glue` say which tails this client negotiated (request flags);
-/// un-negotiated tails must not be present and make the parse invalid.
-/// Strict: the cursor must consume every remaining field, else valid=false
-/// and the caller ignores the whole tail. Exposed for tests — the
-/// malformed-glue cases in tests/test_sharding.cpp drive it directly.
-[[nodiscard]] ReplyTail parse_reply_tail(const Payload& payload,
-                                         std::size_t offset,
-                                         bool expect_lease, bool expect_glue);
 
 /// Match `remaining` — the bare '/'-joined remaining-path text of a
 /// referral reply — against a suffix of `sent`, the component slice this
@@ -564,8 +497,8 @@ struct ResolverClientConfig {
   /// but ordered after every live replica when a hop has alternatives.
   SimDuration replica_quarantine = 30000;
   /// Lease coherence (docs/COHERENCE.md): request leases on answers and
-  /// honor server-pushed kInvalidate callbacks. Off by default — the wire
-  /// format then stays byte-identical to protocol v3.
+  /// honor server-pushed kInvalidate callbacks. Off by default — answers
+  /// then ride the plain TTL and the server's lease table stays empty.
   bool lease_coherence = false;
   /// Renew a cache entry's lease when a hit finds less than this much of
   /// the term remaining. 0 = a quarter of the granted duration.
@@ -573,11 +506,11 @@ struct ResolverClientConfig {
   /// Bound on the per-authority high-water epoch table (epochs_seen_); the
   /// least recently touched authority is forgotten first. 0 = unbounded.
   std::size_t epoch_table_capacity = 4096;
-  /// Shard-aware routing (protocol v5, docs/SHARDING.md): request glue
-  /// records, remember shard → replica-set routes learned from them, and
-  /// go straight to the owning shard's servers on later hops instead of
-  /// re-walking through the delegating authority. Off by default — the
-  /// wire format then never carries the glue flag or tail.
+  /// Shard-aware routing (docs/SHARDING.md): read the glue records that
+  /// referrals carry, remember shard → replica-set routes learned from
+  /// them, and go straight to the owning shard's servers on later hops
+  /// instead of re-walking through the delegating authority. Off by
+  /// default — glue on the wire is then ignored.
   bool shard_routing = false;
 };
 
@@ -690,9 +623,8 @@ class ResolverClient {
   /// candidates from the authority map once); a target whose machine was
   /// *renamed* since the route was learned gets its pid re-derived from
   /// the machine's current server address ("ns.member.routes_healed",
-  /// kRouteHealed); a machine-less route (v2 referral) is matched against
-  /// the directory's rename tombstones while their window is open.
-  /// Detach (nullptr) restores the membership-blind behaviour.
+  /// kRouteHealed). Detach (nullptr) restores the membership-blind
+  /// behaviour.
   void attach_membership(const MembershipDirectory* directory) {
     membership_ = directory;
   }
@@ -724,7 +656,7 @@ class ResolverClient {
     bool negative;           ///< true: a cached resolution error
     std::string error;       ///< negative entries: the server's message
     // Lease state (docs/COHERENCE.md); lease_id == 0 means no lease —
-    // the entry is plain-TTL, exactly the pre-v4 behaviour.
+    // the entry is plain-TTL.
     std::uint64_t lease_id = 0;
     SimTime lease_expires = 0;     ///< server's promise ends here
     SimDuration lease_duration = 0;  ///< granted term (for renew margin)
@@ -732,11 +664,11 @@ class ResolverClient {
   };
 
   /// One server a hop may talk to: its pid in this client's context, plus
-  /// the machine it serves for (kNoMachine → invalid when unknown, e.g. a
-  /// pre-replication referral with no replica list). `incarnation` is the
-  /// machine's membership incarnation when the route was minted (0 = no
-  /// directory attached / unknown): a later rename bumps the directory's
-  /// incarnation, marking this pid as minted against dead addresses.
+  /// the machine it serves for (always known: the authority map and every
+  /// reply name it). `incarnation` is the machine's membership incarnation
+  /// when the route was minted (0 = no directory attached / unknown): a
+  /// later rename bumps the directory's incarnation, marking this pid as
+  /// minted against dead addresses.
   struct ReplicaRef {
     Pid pid;
     MachineId machine;
@@ -747,30 +679,6 @@ class ResolverClient {
   struct Waiter {
     std::shared_ptr<ResolveHandle::State> state;
     ResolveCallback callback;
-  };
-
-  /// A decoded kResolveReply (the per-request successor of the old
-  /// client-wide reply_* scratch fields: overlapping resolutions never
-  /// share decode state).
-  struct Reply {
-    std::uint64_t disposition = NsWire::kError;
-    EntityId entity;
-    std::string remaining;
-    std::string error;
-    Pid next_server;  ///< referral target, rebased into this client's
-                      ///< context by the transport's R(sender) remap
-    EntityId authority;        ///< context the answer depends on
-    std::uint64_t epoch = 0;   ///< its rebind epoch at the server
-    /// The authority's replica set from the reply tail (protocol v3);
-    /// empty when the peer sent a v2 reply.
-    std::vector<ReplicaRef> replicas;
-    /// Lease tail (protocol v4): term granted and its id; 0/0 when the
-    /// server granted nothing (or the reply predates v4).
-    std::uint64_t lease_duration = 0;
-    std::uint64_t lease_id = 0;
-    /// Glue tail (protocol v5): delegate replica sets learned alongside a
-    /// referral; empty unless this client negotiated kFlagShardGlue.
-    std::vector<ReplyTail::Glue> glue;
   };
 
   /// The per-request state machine (docs/ASYNC.md). Heap-pinned for its
@@ -828,8 +736,8 @@ class ResolverClient {
   void send_attempt(PendingResolve& p);
   void on_timeout(std::uint64_t id);
   void handle_reply(const Message& message);
-  void on_reply(PendingResolve& p, const Reply& reply);
-  /// Server-pushed kInvalidate (protocol v4): bump the epoch high-water
+  void on_reply(PendingResolve& p, const ResolveReply& reply);
+  /// Server-pushed kInvalidate: bump the epoch high-water
   /// mark and drop cache entries the voided lease covered.
   void handle_invalidate(const Message& message);
   /// Cache hit with the lease term nearly out: kick off a background

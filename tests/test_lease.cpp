@@ -1,4 +1,4 @@
-// Lease-based cache coherence tests (docs/COHERENCE.md): protocol v4 grant
+// Lease-based cache coherence tests (docs/COHERENCE.md): lease grant
 // plumbing, kInvalidate callback pushes on rebind, renewal on re-use,
 // degradation to the plain-TTL bound under partition, and the cache
 // boundary semantics the lease work leans on — expiry at exactly
@@ -110,13 +110,13 @@ TEST_F(LeaseTest, AnswerFromPrimaryGrantsLeaseReferralDoesNot) {
   EXPECT_EQ(transport_.tracer().count(EventKind::kLeaseGrant), 1u);
 }
 
-TEST_F(LeaseTest, LeaseOffClientSpeaksV3AndGetsNoLease) {
-  // The default config leaves lease_coherence off: requests carry no flags
-  // field, replies carry no lease tail, and the server's lease table stays
-  // empty — the v3 compatibility contract.
+TEST_F(LeaseTest, LeaseOffClientRequestsNoLeaseAndGetsNone) {
+  // The default config leaves lease_coherence off: requests leave the
+  // lease flag clear, replies carry the empty [0, 0] lease pair, and the
+  // server's lease table stays empty.
   ResolverClientConfig config;
   config.cache_ttl = 10000;
-  ResolverClient client(graph_, net_, transport_, sim_, service_, m1_, "v3",
+  ResolverClient client(graph_, net_, transport_, sim_, service_, m1_, "c",
                         config);
   auto result = client.resolve(root_, readme_name());
   ASSERT_TRUE(result.is_ok()) << result.status();

@@ -64,12 +64,16 @@ class NsHardeningTest : public ::testing::Test {
 
     Status send_request(EndpointId server, std::uint64_t corr, EntityId start,
                         std::string path) {
-      Message request;
-      request.type = NsWire::kResolveRequest;
-      request.payload.add_u64(corr);
-      request.payload.add_u64(start.value());
-      request.payload.add_name(std::move(path));
-      return transport_.send(endpoint_, pid_of(server), std::move(request));
+      return transport_.send(endpoint_, pid_of(server),
+                             encode_resolve_request(ResolveRequest{
+                                 corr, start, std::move(path), 0}));
+    }
+
+    /// The i-th recorded reply, decoded; fails the test if it is malformed.
+    ResolveReply reply(std::size_t i) const {
+      auto decoded = decode_resolve_reply(replies.at(i));
+      EXPECT_TRUE(decoded.has_value());
+      return decoded.value_or(ResolveReply{});
     }
 
     Internetwork& net_;
@@ -110,10 +114,10 @@ TEST_F(NsHardeningTest, EmptyPathRequestGetsExplicitAnswer) {
   ASSERT_TRUE(probe.send_request(server1_, 777, root_, "").is_ok());
   sim_.run();
   ASSERT_EQ(probe.replies.size(), 1u);  // one request sufficed: no retries
-  const Payload& reply = probe.replies[0].payload;
-  EXPECT_EQ(reply.u64_at(0), 777u);                // correlation id echoed
-  EXPECT_EQ(reply.u64_at(1), NsWire::kAnswer);
-  EXPECT_EQ(reply.u64_at(2), root_.value());       // identity resolution
+  const ResolveReply reply = probe.reply(0);
+  EXPECT_EQ(reply.corr, 777u);                     // correlation id echoed
+  EXPECT_EQ(reply.disposition, NsWire::kAnswer);
+  EXPECT_EQ(reply.entity, root_);                  // identity resolution
   EXPECT_EQ(service_.snapshot()["answers"], 1u);
 }
 
@@ -123,7 +127,7 @@ TEST_F(NsHardeningTest, EmptyPathOnUnknownEntityGetsExplicitError) {
       probe.send_request(server1_, 778, EntityId(999999), "").is_ok());
   sim_.run();
   ASSERT_EQ(probe.replies.size(), 1u);
-  EXPECT_EQ(probe.replies[0].payload.u64_at(1), NsWire::kError);
+  EXPECT_EQ(probe.reply(0).disposition, NsWire::kError);
   EXPECT_EQ(service_.snapshot()["failures"], 1u);
 }
 
@@ -152,8 +156,8 @@ TEST_F(NsHardeningTest, DuplicateRequestAnsweredButCountedOnce) {
   // Both copies are answered — the first reply may have been lost, so the
   // server must re-reply — but the stats see one resolution.
   ASSERT_EQ(probe.replies.size(), 2u);
-  EXPECT_EQ(probe.replies[0].payload.u64_at(1), NsWire::kAnswer);
-  EXPECT_EQ(probe.replies[1].payload.u64_at(1), NsWire::kAnswer);
+  EXPECT_EQ(probe.reply(0).disposition, NsWire::kAnswer);
+  EXPECT_EQ(probe.reply(1).disposition, NsWire::kAnswer);
   EXPECT_EQ(service_.snapshot()["requests"], 1u);
   EXPECT_EQ(service_.snapshot()["duplicates"], 1u);
   EXPECT_EQ(service_.snapshot()["answers"], 1u);
@@ -169,25 +173,61 @@ TEST_F(NsHardeningTest, StaleReplyRejectedByCorrelationId) {
   // for the genuine answer.
   ResolverClient client(graph_, net_, transport_, sim_, service_, m1_, "c");
   WireProbe probe(net_, transport_, m1_);
-  Message forged;
-  forged.type = NsWire::kResolveReply;
-  forged.payload.add_u64(12345);  // matches no outstanding attempt
-  forged.payload.add_u64(NsWire::kAnswer);
-  forged.payload.add_u64(shared_.value());  // the wrong entity
-  forged.payload.add_name("");
-  forged.payload.add_string("");
-  forged.payload.add_pid(Pid::self());
-  forged.payload.add_u64(NsWire::kNoEntity);
-  forged.payload.add_u64(0);
-  ASSERT_TRUE(
-      transport_.send(probe.endpoint_, probe.pid_of(client.endpoint()),
-                      std::move(forged))
-          .is_ok());
+  ResolveReply forged;
+  forged.corr = 12345;  // matches no outstanding attempt
+  forged.disposition = NsWire::kAnswer;
+  forged.entity = shared_;  // the wrong entity
+  ASSERT_TRUE(transport_
+                  .send(probe.endpoint_, probe.pid_of(client.endpoint()),
+                        encode_resolve_reply(forged))
+                  .is_ok());
 
   auto result = client.resolve(root_, CompoundName::relative("local/data.txt"));
   ASSERT_TRUE(result.is_ok());
   EXPECT_EQ(graph_.data(result.value()), "local");  // not the forged entity
   EXPECT_EQ(client.snapshot()["stale_replies_dropped"], 1u);
+}
+
+TEST_F(NsHardeningTest, MalformedReplyWithTheLiveCorrIsNotTrusted) {
+  // A reply that carries the outstanding attempt's correlation id but
+  // breaks the layout (one trailing field) is dropped before correlation
+  // routing: it neither settles the attempt with its wrong entity nor
+  // cancels the deadline. The attempt times out and the retry gets the
+  // real answer.
+  transport_.tracer().set_enabled(true);
+  ResolverClientConfig config;
+  config.retry.retries = 1;
+  config.retry.request_timeout = 1000;
+  ResolverClient client(graph_, net_, transport_, sim_, service_, m1_, "c",
+                        config);
+  WireProbe probe(net_, transport_, m1_);
+  transport_.set_drop_probability(1.0);  // the first attempt is lost
+  ResolveHandle handle =
+      client.resolve_async(root_, CompoundName::relative("local/data.txt"));
+  transport_.set_drop_probability(0.0);
+  std::uint64_t live_corr = 0;
+  for (const TraceEvent& event : transport_.tracer().events()) {
+    if (event.kind == EventKind::kDrop) live_corr = event.corr;
+  }
+  ASSERT_NE(live_corr, 0u);
+
+  ResolveReply broken;
+  broken.corr = live_corr;
+  broken.disposition = NsWire::kAnswer;
+  broken.entity = shared_;  // the wrong entity
+  Message message = encode_resolve_reply(broken);
+  message.payload.add_u64(0);
+  ASSERT_TRUE(transport_
+                  .send(probe.endpoint_, probe.pid_of(client.endpoint()),
+                        std::move(message))
+                  .is_ok());
+
+  sim_.run_while([&handle] { return !handle.done(); });
+  ASSERT_TRUE(handle.done());
+  ASSERT_TRUE(handle.result().is_ok());
+  EXPECT_EQ(graph_.data(handle.result().value()), "local");
+  EXPECT_EQ(client.snapshot()["timeouts"], 1u);
+  EXPECT_EQ(client.snapshot()["stale_replies_dropped"], 0u);
 }
 
 // --- Tentpole: per-hop timeout + exponential backoff -----------------------
@@ -455,18 +495,18 @@ TEST_F(NsHardeningTest, RogueReferralRemainingIsRejectedNotForwarded) {
   // text must be rejected instead of resolved.
   transport_.set_handler(
       server1_, [this](EndpointId self, const Message& message) {
-        if (message.type != NsWire::kResolveRequest) return;
-        Message reply;
-        reply.type = NsWire::kResolveReply;
-        reply.payload.add_u64(message.payload.u64_at(0));  // echo corr
-        reply.payload.add_u64(NsWire::kReferral);
-        reply.payload.add_u64(message.payload.u64_at(1));
-        reply.payload.add_name(std::string("evil/detour"));
-        reply.payload.add_string("");
-        reply.payload.add_pid(Pid::self());
-        reply.payload.add_u64(NsWire::kNoEntity);
-        reply.payload.add_u64(0);
-        (void)transport_.send(self, message.reply_to, std::move(reply));
+        auto request = decode_resolve_request(message);
+        if (!request) return;
+        ResolveReply reply;
+        reply.corr = request->corr;  // echo corr
+        reply.disposition = NsWire::kReferral;
+        reply.entity = request->start;
+        reply.remaining = "evil/detour";
+        // One replica (itself), so the referral is well-formed and reaches
+        // the client's suffix check.
+        reply.replicas.push_back(WireServer{Pid::self(), m1_});
+        (void)transport_.send(self, message.reply_to,
+                              encode_resolve_reply(reply));
       });
   ResolverClient client(graph_, net_, transport_, sim_, service_, m1_, "c");
   auto result =

@@ -1,7 +1,6 @@
 // Sharded delegation fabric tests (docs/SHARDING.md): AuthorityMap shard
 // registration and subtree delegation (precedence, self-delegation and
-// cycle refusal), consistent-hash placement for flat namespaces, the v5
-// reply-tail codec (glue records, malformed tails, old parsers), glue
+// cycle refusal), consistent-hash placement for flat namespaces, glue
 // chases across chained delegations, and lease invalidation after a
 // context migrates across a delegation boundary.
 #include <gtest/gtest.h>
@@ -155,71 +154,6 @@ TEST(ShardRingTest, AddShardIsIdempotent) {
   EXPECT_EQ(ring.shard_count(), 1u);
 }
 
-// --- v5 reply-tail codec ------------------------------------------------------
-
-TEST(ReplyTailTest, EmptyTailIsValid) {
-  Payload payload;
-  ReplyTail tail = parse_reply_tail(payload, 0, false, false);
-  EXPECT_TRUE(tail.valid);
-  EXPECT_TRUE(tail.replicas.empty());
-  EXPECT_TRUE(tail.glue.empty());
-}
-
-TEST(ReplyTailTest, GlueRecordsRoundTrip) {
-  Payload payload;
-  payload.add_u64(1);  // replica tail: one server
-  payload.add_pid(Pid{1, 2, 3});
-  payload.add_u64(7);
-  payload.add_u64(2);  // two glue records
-  for (std::uint64_t g = 0; g < 2; ++g) {
-    payload.add_u64(100 + g);  // delegated context
-    payload.add_u64(g);        // owning shard
-    payload.add_u64(1);        // one server
-    payload.add_pid(Pid{4, 5, 6});
-    payload.add_u64(20 + g);
-  }
-  ReplyTail tail = parse_reply_tail(payload, 0, false, true);
-  ASSERT_TRUE(tail.valid);
-  ASSERT_EQ(tail.replicas.size(), 1u);
-  EXPECT_EQ(tail.replicas[0].machine, 7u);
-  ASSERT_EQ(tail.glue.size(), 2u);
-  EXPECT_EQ(tail.glue[0].ctx, 100u);
-  EXPECT_EQ(tail.glue[1].shard, 1u);
-  ASSERT_EQ(tail.glue[1].servers.size(), 1u);
-  EXPECT_EQ(tail.glue[1].servers[0].machine, 21u);
-}
-
-TEST(ReplyTailTest, TruncatedGlueInvalidatesTheWholeTail) {
-  Payload payload;
-  payload.add_u64(0);  // replica tail: none
-  payload.add_u64(2);  // claims two glue records…
-  payload.add_u64(100);
-  payload.add_u64(0);
-  payload.add_u64(1);  // …but the first record's server list is cut off
-  ReplyTail tail = parse_reply_tail(payload, 0, false, true);
-  EXPECT_FALSE(tail.valid);
-  EXPECT_TRUE(tail.replicas.empty());
-  EXPECT_TRUE(tail.glue.empty());
-}
-
-TEST(ReplyTailTest, OldParserIgnoresAGlueTailItNeverAskedFor) {
-  // A v3-era parser (expect_glue = false) meeting a glue tail must not
-  // half-trust the reply: the strict exact-consumption check discards the
-  // whole tail, replicas included, and the client falls back to the reply's
-  // fixed fields.
-  Payload payload;
-  payload.add_u64(1);
-  payload.add_pid(Pid{1, 2, 3});
-  payload.add_u64(7);
-  payload.add_u64(1);  // glue tail the old parser does not understand
-  payload.add_u64(100);
-  payload.add_u64(0);
-  payload.add_u64(0);
-  ReplyTail tail = parse_reply_tail(payload, 0, false, false);
-  EXPECT_FALSE(tail.valid);
-  EXPECT_TRUE(tail.replicas.empty());
-}
-
 // --- Glue chases and shard-aware routing --------------------------------------
 
 class ShardedResolutionTest : public ::testing::Test {
@@ -287,9 +221,10 @@ TEST_F(ShardedResolutionTest, TwoHopGlueChaseAcrossChainedDelegations) {
   EXPECT_EQ(client.snapshot()["referrals_followed"], 2u);
 }
 
-TEST_F(ShardedResolutionTest, GlueRoutingIsOffWithoutTheConfigFlag) {
-  // A v3/v4 client resolving the same name: no glue requested, none
-  // parsed, the chase still works through reply.next_server.
+TEST_F(ShardedResolutionTest, GlueOnTheWireIsIgnoredWithoutShardRouting) {
+  // A client without shard_routing resolving the same name: both
+  // referrals carry glue, but the client reads none of it and chases
+  // through each referral's replica list instead.
   ResolverClient client(graph_, net_, transport_, sim_, service_, mclient_,
                         "old");
   auto result = client.resolve(root_, CompoundName::relative("c0/c0/f"));
