@@ -51,10 +51,6 @@ const std::string& Payload::name_at(std::size_t i) const {
   return std::get<std::string>(f.value);
 }
 
-Result<CompoundName> Payload::compound_at(std::size_t i) const {
-  return CompoundName::parse_relative(name_at(i));
-}
-
 std::vector<std::size_t> Payload::pid_indices() const {
   std::vector<std::size_t> out;
   for (std::size_t i = 0; i < fields_.size(); ++i) {

@@ -57,7 +57,8 @@ class Payload {
   Payload& add_name(std::string path);
   /// Encode a component slice as a name field. Renders the *text* — name
   /// atoms (NameId) are node-local and never cross the wire; the receiver
-  /// re-interns on decode via compound_at() (docs/INTERNING.md).
+  /// re-interns on decode via CompoundName::parse_relative
+  /// (docs/INTERNING.md).
   Payload& add_name(NameSlice name);
 
   [[nodiscard]] std::size_t size() const { return fields_.size(); }
@@ -72,10 +73,6 @@ class Payload {
   [[nodiscard]] const std::string& string_at(std::size_t i) const;
   [[nodiscard]] Pid pid_at(std::size_t i) const;
   [[nodiscard]] const std::string& name_at(std::size_t i) const;
-  /// Decode a name field into this process's atom space: parses the text as
-  /// a bare component sequence and interns each component. This is the one
-  /// place remote names enter the NameTable.
-  [[nodiscard]] Result<CompoundName> compound_at(std::size_t i) const;
 
   /// All pid fields (indices), for remapping at transport boundaries.
   [[nodiscard]] std::vector<std::size_t> pid_indices() const;

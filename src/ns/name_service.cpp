@@ -1649,9 +1649,9 @@ void ResolverClient::on_reply(PendingResolve& p, const ResolveReply& reply) {
                             EventKind::kReferralFollowed,
                             reply.entity.valid() ? reply.entity.value() : 0);
       // Glue records: learn every delegation boundary and delegate replica
-      // set the server volunteered — the chase's next hop, and every later
-      // lookup into the same shard, starts with the owning shard's servers
-      // instead of the referring server's view of the replica set.
+      // set the server volunteered, so the chase's next hop and every
+      // later lookup into the same shard start with the owning shard's
+      // servers.
       auto route_of = [this](const std::vector<WireServer>& servers) {
         std::vector<ReplicaRef> route;
         route.reserve(servers.size());

@@ -142,7 +142,7 @@ void MigrationDriver::cutover(std::uint64_t gen) {
   report_.moved = moved.value();
   report_.cutover_at = sim_.now();
   // From this event on the shared authority map names the new owner, so
-  // every referral (and its v5 glue) points there. The old owner keeps
+  // every referral (and its glue) points there. The old owner keeps
   // tombstones for the window so stale-routed clients are observably
   // forwarded rather than silently bounced.
   service_.install_forwarding(report_.from, ctxs_,

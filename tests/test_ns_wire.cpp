@@ -216,8 +216,8 @@ TEST(NsWireTest, ThreeFieldRequestIsRejected) {
 }
 
 TEST(NsWireTest, TailLessReplyIsRejected) {
-  // The fixed eight-field layout with a next-server pid and nothing after
-  // the epoch: not a reply anymore.
+  // Eight fields ending at the epoch, with a pid before the authority:
+  // no replica list, lease pair or glue count.
   Message reply;
   reply.type = NsWire::kResolveReply;
   reply.payload.add_u64(1)

@@ -129,13 +129,13 @@ TEST(Payload, NameSliceTravelsAsTextAndReinterns) {
 
   auto back = Payload::decode(p.encode());
   ASSERT_TRUE(back.is_ok());
-  auto compound = back.value().compound_at(0);
+  auto compound = CompoundName::parse_relative(back.value().name_at(0));
   ASSERT_TRUE(compound.is_ok());
   EXPECT_EQ(compound.value(), sent);
 
   Payload bad;
   bad.add_name("a//b");
-  EXPECT_FALSE(bad.compound_at(0).is_ok());
+  EXPECT_FALSE(CompoundName::parse_relative(bad.name_at(0)).is_ok());
 }
 
 TEST(Payload, EncodeDecodeRoundTrip) {
