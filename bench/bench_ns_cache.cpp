@@ -55,8 +55,12 @@ struct NsWorld {
           CompoundName::relative("shared/proj/f" + std::to_string(i)));
     }
     NAMECOH_CHECK(fs.attach(root, Name("shared"), shared).is_ok(), "");
-    homes.set_home_subtree(graph, shared, m2);
-    homes.set_home_subtree(graph, root, m1);
+    NAMECOH_CHECK(
+        homes.install_delegation(graph, shared, homes.add_shard({m2})).is_ok(),
+        "delegate shared");
+    NAMECOH_CHECK(
+        homes.install_delegation(graph, root, homes.add_shard({m1})).is_ok(),
+        "delegate root");
     service.add_server(m1);
     service.add_server(m2);
   }

@@ -61,8 +61,13 @@ struct X4World {
     NAMECOH_CHECK(fs.attach(root, Name("shared"), shared).is_ok(), "");
     // The shared tree is replicated: primary m2, secondary m3. The client's
     // machine m1 holds only its own root.
-    homes.set_replicas_subtree(graph, shared, {m2, m3});
-    homes.set_home_subtree(graph, root, m1);
+    NAMECOH_CHECK(homes.install_delegation(graph, shared,
+                                           homes.add_shard({m2, m3}))
+                      .is_ok(),
+                  "delegate shared");
+    NAMECOH_CHECK(
+        homes.install_delegation(graph, root, homes.add_shard({m1})).is_ok(),
+        "delegate root");
     service.add_server(m1);
     service.add_server(m2);
     service.add_server(m3);

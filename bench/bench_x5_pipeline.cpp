@@ -56,10 +56,18 @@ struct X5World {
     NAMECOH_CHECK(fs.attach(root, Name("a"), tree_a).is_ok(), "attach a");
     NAMECOH_CHECK(fs.attach(tree_a, Name("b"), tree_b).is_ok(), "attach b");
     NAMECOH_CHECK(fs.attach(tree_b, Name("c"), tree_c).is_ok(), "attach c");
-    homes.set_home_subtree(graph, tree_c, m4);
-    homes.set_home_subtree(graph, tree_b, m3);
-    homes.set_home_subtree(graph, tree_a, m2);
-    homes.set_home_subtree(graph, root, m1);
+    NAMECOH_CHECK(
+        homes.install_delegation(graph, tree_c, homes.add_shard({m4})).is_ok(),
+        "delegate tree_c");
+    NAMECOH_CHECK(
+        homes.install_delegation(graph, tree_b, homes.add_shard({m3})).is_ok(),
+        "delegate tree_b");
+    NAMECOH_CHECK(
+        homes.install_delegation(graph, tree_a, homes.add_shard({m2})).is_ok(),
+        "delegate tree_a");
+    NAMECOH_CHECK(
+        homes.install_delegation(graph, root, homes.add_shard({m1})).is_ok(),
+        "delegate root");
     service.add_server(m1);
     service.add_server(m2);
     service.add_server(m3);

@@ -172,7 +172,7 @@ ShardRun run_shards(const X7Fabric& fabric, const X7Scale& s,
   // start at the delegated subtree root — an activity working inside its
   // own region — but every eighth starts at the fabric root with the full
   // path, paying the referral chase across the delegation boundary that
-  // the glue records exist to keep at one hop.
+  // the referral glue exists to keep at one hop.
   std::vector<ParallelQuery> queries;
   queries.reserve(s.queries);
   const std::size_t leaf_levels = s.depth - 2;  // atoms below a level-2 root
@@ -331,9 +331,8 @@ void BM_ShardRingLookup(benchmark::State& state) {
 BENCHMARK(BM_ShardRingLookup);
 
 void BM_ReplyDecode(benchmark::State& state) {
-  // Decoding a whole referral: 3 replicas, the lease pair and 2 glue
-  // records, the shape a referral from a 3-replica shard with two
-  // delegate children produces.
+  // Decoding a whole referral into a 3-replica shard: the replica list,
+  // the empty lease pair and the shard id.
   ResolveReply referral;
   referral.corr = 42;
   referral.disposition = NsWire::kReferral;
@@ -345,14 +344,7 @@ void BM_ReplyDecode(benchmark::State& state) {
     referral.replicas.push_back(WireServer{
         Pid{1, static_cast<Addr>(i + 1), 7}, MachineId(i)});
   }
-  for (std::uint64_t g = 0; g < 2; ++g) {
-    GlueRecord glue{EntityId(g + 100), g, {}};
-    for (int i = 0; i < 2; ++i) {
-      glue.servers.push_back(WireServer{Pid{2, static_cast<Addr>(i + 1), 7},
-                                        MachineId(10 + i)});
-    }
-    referral.glue.push_back(std::move(glue));
-  }
+  referral.shard = 7;
   const Message message = encode_resolve_reply(referral);
   for (auto _ : state) {
     benchmark::DoNotOptimize(decode_resolve_reply(message));

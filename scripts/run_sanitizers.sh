@@ -30,7 +30,7 @@ ctest --test-dir "$BUILD" --output-on-failure -j "$(nproc)"
 "$BUILD/bench/bench_x5_pipeline" --json > /dev/null
 
 # Sharded-fabric smoke under the sanitized build, at the reduced default
-# scale: delegation installs, glue records on the wire, shard-routed
+# scale: delegation installs, referral glue on the wire, shard-routed
 # failover, and the anti-entropy epoch gate (the two regression tests ride
 # in test_name_service above; this drives the full cross-shard path).
 "$BUILD/bench/bench_x7_shard" --benchmark_filter='BM_(ShardedResolve|ReplyDecode)' > /dev/null

@@ -33,270 +33,6 @@ std::optional<NameSlice> referral_suffix(NameSlice sent,
   return candidate;
 }
 
-void AuthorityMap::set_home(EntityId ctx, MachineId machine) {
-  NAMECOH_CHECK(ctx.valid() && machine.valid(), "invalid home assignment");
-  homes_[ctx] = {machine};
-}
-
-void AuthorityMap::set_replicas(EntityId ctx,
-                                std::vector<MachineId> replicas) {
-  NAMECOH_CHECK(ctx.valid() && !replicas.empty(),
-                "invalid replica assignment");
-  for (std::size_t i = 0; i < replicas.size(); ++i) {
-    NAMECOH_CHECK(replicas[i].valid(), "invalid replica machine");
-    for (std::size_t j = i + 1; j < replicas.size(); ++j) {
-      NAMECOH_CHECK(replicas[i] != replicas[j], "duplicate replica machine");
-    }
-  }
-  homes_[ctx] = std::move(replicas);
-}
-
-void AuthorityMap::set_home_subtree(const NamingGraph& graph, EntityId root,
-                                    MachineId machine) {
-  set_replicas_subtree(graph, root, {machine});
-}
-
-void AuthorityMap::set_replicas_subtree(const NamingGraph& graph,
-                                        EntityId root,
-                                        std::vector<MachineId> replicas) {
-  NAMECOH_CHECK(graph.is_context_object(root),
-                "set_replicas_subtree: root is not a context object");
-  NAMECOH_CHECK(!replicas.empty(), "empty replica set");
-  // The root is always re-assigned, per the contract; a silent no-op when
-  // it already belonged to another authority would leave the caller with a
-  // partitioned map and no error. Descendants with a foreign authority are
-  // left alone (shared subtrees keep their own).
-  homes_.insert_or_assign(root, replicas);
-  std::deque<EntityId> frontier{root};
-  while (!frontier.empty()) {
-    EntityId ctx = frontier.front();
-    frontier.pop_front();
-    if (homes_.at(ctx) != replicas) continue;  // foreign authority: stop
-    for (const auto& [name, target] : graph.context(ctx).bindings()) {
-      if (name.is_cwd() || name.is_parent()) continue;
-      if (!graph.is_context_object(target)) continue;
-      // Shard-owned descendants keep their shard, symmetric with
-      // install_delegation stopping at explicit homes.
-      if (shard_of(target) != kNoShard) continue;
-      if (homes_.try_emplace(target, replicas).second) {
-        frontier.push_back(target);
-      }
-    }
-  }
-}
-
-ShardId AuthorityMap::add_shard(std::vector<MachineId> replicas) {
-  NAMECOH_CHECK(!replicas.empty(), "empty shard replica set");
-  for (std::size_t i = 0; i < replicas.size(); ++i) {
-    NAMECOH_CHECK(replicas[i].valid(), "invalid shard replica machine");
-    for (std::size_t j = i + 1; j < replicas.size(); ++j) {
-      NAMECOH_CHECK(replicas[i] != replicas[j],
-                    "duplicate shard replica machine");
-    }
-  }
-  shards_.push_back(std::move(replicas));
-  delegates_of_.emplace_back();
-  return static_cast<ShardId>(shards_.size() - 1);
-}
-
-std::span<const MachineId> AuthorityMap::shard_replicas(ShardId shard) const {
-  if (shard >= shards_.size()) return {};
-  return shards_[shard];
-}
-
-ShardId AuthorityMap::shard_of(EntityId ctx) const {
-  if (!ctx.valid() || ctx.value() >= shard_of_.size()) return kNoShard;
-  return shard_of_[ctx.value()];
-}
-
-void AuthorityMap::assign_shard(EntityId ctx, ShardId shard) {
-  if (ctx.value() >= shard_of_.size()) {
-    shard_of_.resize(ctx.value() + 1, kNoShard);
-  }
-  shard_of_[ctx.value()] = shard;
-}
-
-bool AuthorityMap::delegation_reaches(ShardId from, ShardId to) const {
-  if (from == to) return true;
-  std::vector<bool> visited(shards_.size(), false);
-  std::vector<ShardId> stack{from};
-  visited[from] = true;
-  while (!stack.empty()) {
-    const ShardId s = stack.back();
-    stack.pop_back();
-    for (ShardId d : delegates_of_[s]) {
-      if (d == to) return true;
-      if (!visited[d]) {
-        visited[d] = true;
-        stack.push_back(d);
-      }
-    }
-  }
-  return false;
-}
-
-Status AuthorityMap::install_delegation(const NamingGraph& graph,
-                                        EntityId root, ShardId shard) {
-  if (shard >= shards_.size()) {
-    return invalid_argument_error("install_delegation: unknown shard");
-  }
-  if (!graph.is_context_object(root)) {
-    return invalid_argument_error(
-        "install_delegation: root is not a context object");
-  }
-  const ShardId owner = shard_of(root);
-  if (owner == shard) {
-    return invalid_argument_error(
-        "install_delegation: shard already owns the root (self-delegation)");
-  }
-  // Cycle refusal: a client chasing glue through a delegation chain that
-  // re-enters an earlier shard would never terminate. If the new delegate
-  // already reaches the owner through recorded edges, owner → delegate
-  // would close the loop.
-  if (owner != kNoShard && delegation_reaches(shard, owner)) {
-    return invalid_argument_error(
-        "install_delegation: delegation would close a cycle");
-  }
-  if (owner != kNoShard) {
-    auto& edges = delegates_of_[owner];
-    if (std::find(edges.begin(), edges.end(), shard) == edges.end()) {
-      edges.push_back(shard);
-    }
-  }
-  // Same walk contract as set_replicas_subtree: the root is always
-  // re-assigned; descendants are claimed only while unowned (no shard and
-  // no explicit home), so foreign regions keep their authority.
-  assign_shard(root, shard);
-  std::deque<EntityId> frontier{root};
-  while (!frontier.empty()) {
-    EntityId ctx = frontier.front();
-    frontier.pop_front();
-    if (shard_of(ctx) != shard) continue;
-    for (const auto& [name, target] : graph.context(ctx).bindings()) {
-      if (name.is_cwd() || name.is_parent()) continue;
-      if (!graph.is_context_object(target)) continue;
-      if (shard_of(target) != kNoShard || homes_.contains(target)) continue;
-      assign_shard(target, shard);
-      frontier.push_back(target);
-    }
-  }
-  return Status::ok();
-}
-
-Status AuthorityMap::delegate_children_by_hash(const NamingGraph& graph,
-                                               EntityId parent,
-                                               const ShardRing& ring,
-                                               std::vector<EntityId>* moved) {
-  if (!graph.is_context_object(parent)) {
-    return invalid_argument_error(
-        "delegate_children_by_hash: parent is not a context object");
-  }
-  for (const auto& [name, target] : graph.context(parent).bindings()) {
-    if (name.is_cwd() || name.is_parent()) continue;
-    if (!graph.is_context_object(target)) continue;
-    const ShardId shard = ring.shard_for(target);
-    const ShardId owner = shard_of(target);
-    if (owner == shard) continue;  // idempotent re-run: already placed
-    if (owner != kNoShard || homes_.contains(target)) {
-      // Already owned, but the ring now says elsewhere: a re-run must not
-      // silently re-claim live ownership — that is a migration
-      // (docs/REBALANCING.md). Report it and leave the map untouched.
-      if (moved != nullptr) moved->push_back(target);
-      continue;
-    }
-    Status placed = install_delegation(graph, target, shard);
-    if (!placed.is_ok()) return placed;
-  }
-  return Status::ok();
-}
-
-std::vector<EntityId> AuthorityMap::shard_subtree(const NamingGraph& graph,
-                                                  EntityId root) const {
-  std::vector<EntityId> out;
-  const ShardId owner = shard_of(root);
-  if (owner == kNoShard || !graph.is_context_object(root)) return out;
-  // The same walk shape as install_delegation, read-only: collect every
-  // context the owning shard holds under `root`, stopping at foreign
-  // authorities (another shard, or an explicit per-context home).
-  std::unordered_set<EntityId> seen{root};
-  out.push_back(root);
-  std::deque<EntityId> frontier{root};
-  while (!frontier.empty()) {
-    EntityId ctx = frontier.front();
-    frontier.pop_front();
-    for (const auto& [name, target] : graph.context(ctx).bindings()) {
-      if (name.is_cwd() || name.is_parent()) continue;
-      if (!graph.is_context_object(target)) continue;
-      if (shard_of(target) != owner || homes_.contains(target)) continue;
-      if (!seen.insert(target).second) continue;
-      out.push_back(target);
-      frontier.push_back(target);
-    }
-  }
-  return out;
-}
-
-Result<std::size_t> AuthorityMap::migrate_subtree(const NamingGraph& graph,
-                                                  EntityId root, ShardId to) {
-  if (to >= shards_.size()) {
-    return invalid_argument_error("migrate_subtree: unknown target shard");
-  }
-  if (!graph.is_context_object(root)) {
-    return invalid_argument_error(
-        "migrate_subtree: root is not a context object");
-  }
-  const ShardId from = shard_of(root);
-  if (from == kNoShard) {
-    return invalid_argument_error("migrate_subtree: root is not shard-owned");
-  }
-  if (from == to) {
-    return invalid_argument_error(
-        "migrate_subtree: root already lives on the target shard");
-  }
-  const std::vector<EntityId> ctxs = shard_subtree(graph, root);
-  for (EntityId ctx : ctxs) assign_shard(ctx, to);
-  return ctxs.size();
-}
-
-Result<MachineId> AuthorityMap::home_of(EntityId ctx) const {
-  auto it = homes_.find(ctx);
-  if (it != homes_.end()) return it->second.front();
-  const ShardId shard = shard_of(ctx);
-  if (shard != kNoShard) return shards_[shard].front();
-  return not_found_error("context has no authoritative home");
-}
-
-std::span<const MachineId> AuthorityMap::replicas_of(EntityId ctx) const {
-  auto it = homes_.find(ctx);
-  if (it != homes_.end()) return it->second;
-  const ShardId shard = shard_of(ctx);
-  if (shard != kNoShard) return shards_[shard];
-  return {};
-}
-
-bool AuthorityMap::has_home(EntityId ctx) const {
-  return homes_.contains(ctx) || shard_of(ctx) != kNoShard;
-}
-
-bool AuthorityMap::is_replica(EntityId ctx, MachineId machine) const {
-  auto replicas = replicas_of(ctx);
-  return std::find(replicas.begin(), replicas.end(), machine) !=
-         replicas.end();
-}
-
-bool AuthorityMap::is_primary(EntityId ctx, MachineId machine) const {
-  auto replicas = replicas_of(ctx);
-  return !replicas.empty() && replicas.front() == machine;
-}
-
-std::vector<EntityId> AuthorityMap::replicated_contexts() const {
-  std::vector<EntityId> out;
-  for (const auto& [ctx, replicas] : homes_) {
-    if (replicas.size() >= 2) out.push_back(ctx);
-  }
-  return out;
-}
-
 NameService::NameService(const NamingGraph& graph, Internetwork& net,
                          Transport& transport, const AuthorityMap& homes)
     : graph_(graph), net_(net), transport_(transport), homes_(homes) {
@@ -875,17 +611,11 @@ void NameService::handle_request(EndpointId self, const Message& message) {
           grant_lease(my_machine.value(), authority, message.reply_to,
                       reply.epoch, corr);
     }
-    // Glue (docs/SHARDING.md): a referral that crosses into a delegated
-    // shard carries the delegate's replica set, so a shard-routing client
-    // reaches the owning shard in the next hop without a second round
-    // trip for topology.
-    if (disposition == NsWire::kReferral && stamp) {
-      const ShardId shard = homes_.shard_of(authority);
-      if (shard != AuthorityMap::kNoShard) {
-        GlueRecord glue{authority, shard,
-                        live_servers(homes_.shard_replicas(shard))};
-        if (!glue.servers.empty()) reply.glue.push_back(std::move(glue));
-      }
+    // Glue (docs/SHARDING.md): a referral names the shard owning the
+    // referred context, so a shard-routing client learns that shard's
+    // route (the reply's replica list) in the same round trip.
+    if (disposition == NsWire::kReferral) {
+      reply.shard = homes_.shard_of(authority);
     }
     (void)transport_.send(self, message.reply_to, encode_resolve_reply(reply));
   };
@@ -1646,64 +1376,37 @@ void ResolverClient::on_reply(PendingResolve& p, const ResolveReply& reply) {
       }
       referrals_followed_->inc();
       tracer.record_in_span(p.owner_span, sim_.now(),
-                            EventKind::kReferralFollowed,
-                            reply.entity.valid() ? reply.entity.value() : 0);
-      // Glue records: learn every delegation boundary and delegate replica
-      // set the server volunteered, so the chase's next hop and every
-      // later lookup into the same shard start with the owning shard's
-      // servers.
-      auto route_of = [this](const std::vector<WireServer>& servers) {
-        std::vector<ReplicaRef> route;
-        route.reserve(servers.size());
-        for (const WireServer& server : servers) {
-          route.push_back(ReplicaRef{server.pid, server.machine,
-                                     member_incarnation(server.machine)});
-        }
-        return route;
-      };
-      if (config_.shard_routing && !reply.glue.empty()) {
-        delegations_chased_->inc();
-        for (const GlueRecord& glue : reply.glue) {
-          tracer.record_in_span(p.owner_span, sim_.now(),
-                                EventKind::kDelegationChase, glue.ctx.value(),
-                                glue.shard);
-          ctx_shards_[glue.ctx] = glue.shard;
-          if (!glue.servers.empty()) {
-            shard_routes_[glue.shard] = route_of(glue.servers);
-          }
-        }
+                            EventKind::kReferralFollowed, reply.entity.value());
+      // The next hop's candidates: the referred-to context's replica set
+      // from the reply (pids already rebased by the transport; the
+      // referral target first).
+      p.candidates.clear();
+      p.candidates.reserve(reply.replicas.size());
+      for (const WireServer& server : reply.replicas) {
+        p.candidates.push_back(ReplicaRef{server.pid, server.machine,
+                                          member_incarnation(server.machine)});
       }
       p.current = reply.entity;
       p.remaining = *suffix;
       p.hop_text = p.remaining.joined();
-      // The next hop's candidates: a glue-learned shard route when the
-      // referred context's owning shard is known, else the referred-to
-      // context's replica set from the reply (pids already rebased by the
-      // transport; the referral target first).
-      std::uint64_t next_shard = NsWire::kNoShard;
-      if (config_.shard_routing && reply.entity.valid()) {
-        auto owned = ctx_shards_.find(reply.entity);
-        if (owned != ctx_shards_.end()) next_shard = owned->second;
-      }
-      bool routed_by_glue = false;
-      if (next_shard != NsWire::kNoShard) {
-        auto route = shard_routes_.find(next_shard);
-        if (route != shard_routes_.end() && !route->second.empty()) {
-          p.candidates = route->second;
-          routed_by_glue = true;
-          glue_hits_->inc();
-        }
-      }
-      if (!routed_by_glue) p.candidates = route_of(reply.replicas);
       if (config_.shard_routing) {
-        if (next_shard != NsWire::kNoShard &&
-            p.hop_shard != NsWire::kNoShard && next_shard != p.hop_shard) {
+        // Glue: learn the delegation boundary and the owning shard's route,
+        // so the next hop and every later lookup into the same shard start
+        // at that shard's servers.
+        delegations_chased_->inc();
+        glue_hits_->inc();
+        tracer.record_in_span(p.owner_span, sim_.now(),
+                              EventKind::kDelegationChase,
+                              reply.entity.value(), reply.shard);
+        ctx_shards_[reply.entity] = reply.shard;
+        shard_routes_[reply.shard] = p.candidates;
+        if (p.hop_shard != NsWire::kNoShard && reply.shard != p.hop_shard) {
           cross_shard_hops_->inc();
           tracer.record_in_span(p.owner_span, sim_.now(),
                                 EventKind::kCrossShardHop, p.hop_shard,
-                                next_shard);
+                                reply.shard);
         }
-        p.hop_shard = next_shard;
+        p.hop_shard = reply.shard;
       }
       // The limit-breaking referral is still counted above — the chase
       // just stops here instead of sending another hop. The limit is the
@@ -1804,9 +1507,7 @@ ResolverClient::PendingResolve* ResolverClient::launch_exchange(
 void ResolverClient::maybe_renew(const CacheKey& key,
                                  const CacheEntry& entry) {
   if (entry.lease_id == 0) return;
-  const SimDuration margin = config_.lease_renew_margin != 0
-                                 ? config_.lease_renew_margin
-                                 : entry.lease_duration / 4;
+  const SimDuration margin = entry.lease_duration / 4;
   if (entry.lease_expires > sim_.now() &&
       entry.lease_expires - sim_.now() > margin) {
     return;  // plenty of term left

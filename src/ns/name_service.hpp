@@ -7,13 +7,11 @@
 // compound name whose path crosses machines costs messages. This module
 // supplies that substrate:
 //
-//   * AuthorityMap   — which machines are authoritative for each context
-//                      object: per-context replica sets plus shard-owned
-//                      delegated subtrees (directories of a machine's tree
-//                      are homed on that machine; a shared tree is homed on
-//                      its server);
+//   * AuthorityMap   — which shard (ordered replica set of machines) owns
+//                      each context object (src/ns/authority_map.hpp);
 //   * NameService    — one server endpoint per machine; servers walk the
-//                      compound name through locally-homed contexts and
+//                      compound name through the contexts their machine
+//                      serves and
 //                      answer with either a result or a *referral* (next
 //                      authoritative machine + remaining path), the
 //                      iterative style of DNS;
@@ -53,143 +51,14 @@
 #include "core/naming_graph.hpp"
 #include "core/resolve.hpp"
 #include "net/transport.hpp"
+#include "ns/authority_map.hpp"
 #include "ns/ns_wire.hpp"
-#include "ns/shard_ring.hpp"
 #include "obs/snapshot.hpp"
 #include "util/hash.hpp"
 
 namespace namecoh {
 
 class MembershipDirectory;  // src/ns/membership.hpp
-
-/// Authority assignment: context object → ordered replica set of machines.
-///
-/// The first machine in a context's list is its *primary* — the one that
-/// stamps rebind epochs and originates update propagation; the rest are
-/// *secondaries* that serve from epoch-stamped snapshots
-/// (docs/REPLICATION.md). A context configured through set_home has a
-/// one-machine replica set, which makes the pre-replication single-
-/// authority behaviour a special case rather than a separate code path.
-///
-/// Sharding (docs/SHARDING.md): at million-entity scale a per-context map
-/// entry per context is the wrong shape, so the namespace is partitioned
-/// into *shards* — registered replica sets that own whole delegated
-/// subtrees at once. Ownership lives in one dense entity-indexed vector of
-/// shard ids (4 bytes per entity), and every authority query resolves
-/// explicit per-context assignments first, then the owning shard, so the
-/// two mechanisms compose: a shared subtree inside a delegated region
-/// keeps its own replica set.
-class AuthorityMap {
- public:
-  /// "No shard owns this context" sentinel in shard_of().
-  static constexpr ShardId kNoShard = ~static_cast<ShardId>(0);
-
-  /// Single-authority compat: a one-machine replica set.
-  void set_home(EntityId ctx, MachineId machine);
-  /// Full form: `replicas` ordered, primary first, no duplicates.
-  void set_replicas(EntityId ctx, std::vector<MachineId> replicas);
-  /// Assign `root` and every directory reachable from it (tree edges) to
-  /// `machine`. The root itself is always (re-)homed on `machine`, even if
-  /// it previously had a different authority; the walk stops at
-  /// *descendant* directories that already have a different home, so
-  /// shared subtrees keep their own authority.
-  void set_home_subtree(const NamingGraph& graph, EntityId root,
-                        MachineId machine);
-  /// Same walk, assigning the whole replica set to every claimed context.
-  void set_replicas_subtree(const NamingGraph& graph, EntityId root,
-                            std::vector<MachineId> replicas);
-
-  // --- Shards and delegation (docs/SHARDING.md) ----------------------------
-
-  /// Register a shard: an ordered replica set (primary first, no
-  /// duplicates) that can own whole delegated subtrees. Returns its dense
-  /// id; ids are stable for the map's lifetime and travel on the wire in
-  /// glue records.
-  ShardId add_shard(std::vector<MachineId> replicas);
-  [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
-  /// The replica set registered for `shard`; empty for an unknown id.
-  [[nodiscard]] std::span<const MachineId> shard_replicas(ShardId shard) const;
-
-  /// Delegate the subtree rooted at `root` to `shard`: the same
-  /// always-reassign-the-root / stop-at-foreign-authority walk as
-  /// set_replicas_subtree, recorded as one shard id per claimed context
-  /// instead of a replica-set copy. Refuses (kInvalidArgument) a
-  /// self-delegation or any delegation that would close a cycle in the
-  /// shard-level delegation graph — a client chasing glue records through
-  /// a cyclic delegation would never terminate.
-  Status install_delegation(const NamingGraph& graph, EntityId root,
-                            ShardId shard);
-
-  /// Hash placement for flat namespaces: delegate every child context of
-  /// `parent` to the shard the ring names for it. The ring must only name
-  /// shards registered here. Returns the first refusal, if any.
-  ///
-  /// Idempotent under re-runs: a child already on its ring shard is left
-  /// alone, and a child the ring now maps *elsewhere* (the ring changed
-  /// since placement) is **not** silently re-claimed — moving live
-  /// ownership is a migration, not a map write (docs/REBALANCING.md).
-  /// When `moved` is non-null, every such ring-moved child is appended to
-  /// it so the caller can plan migrations (see plan_ring_change in
-  /// src/ns/rebalance.hpp).
-  Status delegate_children_by_hash(const NamingGraph& graph, EntityId parent,
-                                   const ShardRing& ring,
-                                   std::vector<EntityId>* moved = nullptr);
-
-  /// Every context the shard owning `root` owns in the subtree under
-  /// `root` (tree edges, skipping `.`/`..`, stopping at contexts with a
-  /// foreign authority — an explicit home or another shard). Empty when
-  /// `root` is not shard-owned. This is the unit a migration transfers.
-  [[nodiscard]] std::vector<EntityId> shard_subtree(const NamingGraph& graph,
-                                                    EntityId root) const;
-
-  /// Atomic cutover of a migration (docs/REBALANCING.md): reassign the
-  /// whole shard_subtree(root) from its owning shard to `to` in one map
-  /// write. Returns the number of contexts moved. Unlike
-  /// install_delegation this records no delegation edge — a migration
-  /// transfers the *existing* record rather than layering a new one, so a
-  /// later migration back (A→B→A) stays legal where a delegation cycle
-  /// would be refused. Fails (kInvalidArgument) on an unknown target
-  /// shard, a root that is not shard-owned, or a self-migration.
-  Result<std::size_t> migrate_subtree(const NamingGraph& graph, EntityId root,
-                                      ShardId to);
-
-  /// The shard owning `ctx` via delegation; kNoShard when none. Explicit
-  /// per-context assignments are not reported here (they override shard
-  /// ownership in every replica query but are not shard-owned).
-  [[nodiscard]] ShardId shard_of(EntityId ctx) const;
-
-  /// The primary (first replica).
-  [[nodiscard]] Result<MachineId> home_of(EntityId ctx) const;
-  /// The full ordered replica set; empty when the context has no home.
-  /// Explicit per-context assignments take precedence over the owning
-  /// shard's replica set.
-  [[nodiscard]] std::span<const MachineId> replicas_of(EntityId ctx) const;
-  [[nodiscard]] bool has_home(EntityId ctx) const;
-  [[nodiscard]] bool is_replica(EntityId ctx, MachineId machine) const;
-  [[nodiscard]] bool is_primary(EntityId ctx, MachineId machine) const;
-  /// Contexts with an *explicit* replica set of at least two members, in
-  /// no particular order. Introspection and tests only: this rebuilds a
-  /// vector per call, so the anti-entropy hot path must never touch it
-  /// (NameService keeps a dirty set instead; docs/REPLICATION.md).
-  [[nodiscard]] std::vector<EntityId> replicated_contexts() const;
-  /// Explicit per-context assignments (shard-owned contexts not counted).
-  [[nodiscard]] std::size_t size() const { return homes_.size(); }
-
- private:
-  /// True when `from` can reach `to` through recorded delegation edges.
-  [[nodiscard]] bool delegation_reaches(ShardId from, ShardId to) const;
-  void assign_shard(EntityId ctx, ShardId shard);
-
-  std::unordered_map<EntityId, std::vector<MachineId>> homes_;
-  /// Shard replica sets, indexed by ShardId.
-  std::vector<std::vector<MachineId>> shards_;
-  /// Dense ownership: entity id → owning shard (kNoShard = none). Sized
-  /// on demand; 4 bytes per entity is what makes million-context maps fit.
-  std::vector<ShardId> shard_of_;
-  /// Shard-level delegation edges (owner at install time → delegate),
-  /// for cycle refusal at install time.
-  std::vector<std::vector<ShardId>> delegates_of_;
-};
 
 /// Match `remaining` — the bare '/'-joined remaining-path text of a
 /// referral reply — against a suffix of `sent`, the component slice this
@@ -203,8 +72,8 @@ class AuthorityMap {
 [[nodiscard]] std::optional<NameSlice> referral_suffix(
     NameSlice sent, std::string_view remaining);
 
-/// The server side: one endpoint per machine, walking names through
-/// locally-homed context objects.
+/// The server side: one endpoint per machine, walking names through the
+/// context objects whose shard that machine serves.
 ///
 /// Replication (docs/REPLICATION.md): for a context with a multi-machine
 /// replica set, the *primary* serves straight from the naming graph and
@@ -219,7 +88,7 @@ class NameService {
               Transport& transport, const AuthorityMap& homes);
 
   /// Install a server on `machine`; returns its endpoint. A machine
-  /// without a server cannot answer for contexts homed on it.
+  /// without a server cannot answer for the shards it serves.
   EndpointId add_server(MachineId machine);
 
   /// Tear the server on `machine` down: unregister its handler, remove
@@ -500,17 +369,14 @@ struct ResolverClientConfig {
   /// honor server-pushed kInvalidate callbacks. Off by default — answers
   /// then ride the plain TTL and the server's lease table stays empty.
   bool lease_coherence = false;
-  /// Renew a cache entry's lease when a hit finds less than this much of
-  /// the term remaining. 0 = a quarter of the granted duration.
-  SimDuration lease_renew_margin = 0;
   /// Bound on the per-authority high-water epoch table (epochs_seen_); the
   /// least recently touched authority is forgotten first. 0 = unbounded.
   std::size_t epoch_table_capacity = 4096;
-  /// Shard-aware routing (docs/SHARDING.md): read the glue records that
-  /// referrals carry, remember shard → replica-set routes learned from
-  /// them, and go straight to the owning shard's servers on later hops
-  /// instead of re-walking through the delegating authority. Off by
-  /// default — glue on the wire is then ignored.
+  /// Shard-aware routing (docs/SHARDING.md): read the shard id every
+  /// referral carries, remember shard → replica-set routes learned from
+  /// the referral's replica list, and go straight to the owning shard's
+  /// servers on later hops instead of re-walking through the delegating
+  /// authority. Off by default — the shard id on the wire is then ignored.
   bool shard_routing = false;
 };
 
@@ -809,8 +675,8 @@ class ResolverClient {
   // "ns.shard.*" — one set shared by every client on the registry, since
   // the fabric-level question ("how many referrals crossed shards?") spans
   // clients.
-  Counter* delegations_chased_;  ///< referrals that carried glue records
-  Counter* glue_hits_;           ///< next hop's candidates came from glue
+  Counter* delegations_chased_;  ///< referrals whose shard was learned
+  Counter* glue_hits_;           ///< next hop's candidates: a learned route
   Counter* cross_shard_hops_;    ///< hop moved to a different shard
   Counter* route_reuses_;        ///< first hop reused a learned shard route
   // Membership counters (docs/MEMBERSHIP.md). Registry-wide as
@@ -841,11 +707,12 @@ class ResolverClient {
   };
   std::unordered_map<EntityId, EpochRecord> epochs_seen_;
   std::list<EntityId> epoch_lru_;  ///< front = most recently touched
-  /// Shard routes learned from glue records: wire shard id → the delegate
+  /// Shard routes learned from referrals: wire shard id → the delegate
   /// shard's replica servers. Trusted until a resolution through them
   /// fails over (the normal suspect machinery still applies per machine).
   std::unordered_map<std::uint64_t, std::vector<ReplicaRef>> shard_routes_;
-  /// Delegation boundaries learned from glue: context → owning wire shard.
+  /// Delegation boundaries learned from referrals: context → owning wire
+  /// shard.
   std::unordered_map<EntityId, std::uint64_t> ctx_shards_;
 
   // Engine state. Requests are keyed by a client-local id; the unique_ptr

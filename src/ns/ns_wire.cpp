@@ -107,11 +107,13 @@ Message encode_resolve_reply(const ResolveReply& reply) {
   add_servers(out, reply.replicas);
   out.add_u64(reply.lease_duration);
   out.add_u64(reply.lease_id);
-  out.add_u64(reply.glue.size());
-  for (const GlueRecord& glue : reply.glue) {
-    out.add_u64(glue.ctx.value());
-    out.add_u64(glue.shard);
-    add_servers(out, glue.servers);
+  // A bare kNoShard would cost a 10-byte varint on every answer; the
+  // count keeps answers at one byte.
+  if (reply.shard == NsWire::kNoShard) {
+    out.add_u64(0);
+  } else {
+    out.add_u64(1);
+    out.add_u64(reply.shard);
   }
   return message;
 }
@@ -127,18 +129,18 @@ std::optional<ResolveReply> decode_resolve_reply(const Message& message) {
       !in.u64(&reply.lease_duration) || !in.u64(&reply.lease_id)) {
     return std::nullopt;
   }
-  // A referral's first replica is where the client goes next.
-  if (reply.disposition == NsWire::kReferral && reply.replicas.empty()) {
+  // A referral names the context it refers to, its first replica is
+  // where the client goes next, and it — and only it — carries the shard
+  // owning that context.
+  const bool referral = reply.disposition == NsWire::kReferral;
+  if (referral && (!reply.entity.valid() || reply.replicas.empty())) {
     return std::nullopt;
   }
-  std::uint64_t g = 0;
-  if (!in.u64(&g) || g > in.left() / 3) return std::nullopt;
-  reply.glue.resize(g);
-  for (GlueRecord& glue : reply.glue) {
-    if (!in.entity(&glue.ctx) || !glue.ctx.valid() || !in.u64(&glue.shard) ||
-        glue.shard == NsWire::kNoShard || !in.servers(&glue.servers)) {
-      return std::nullopt;
-    }
+  std::uint64_t s = 0;
+  if (!in.u64(&s) || s != (referral ? 1 : 0)) return std::nullopt;
+  if (referral &&
+      (!in.u64(&reply.shard) || reply.shard == NsWire::kNoShard)) {
+    return std::nullopt;
   }
   if (!in.done()) return std::nullopt;
   return reply;

@@ -9,10 +9,11 @@
 //
 // Decoding is strict and all-or-nothing: a payload whose field count or
 // field types do not match its layout exactly — or a referral that names
-// no replica — decodes to nullopt, and the receiver drops it before any
-// correlation routing. Pids in requests and replies are written in the
-// sender's context; the transport rebases them into the receiver's
-// (R(sender), §6) in flight, so decoded pids are already the receiver's.
+// no context, no replica or no shard — decodes to nullopt, and the
+// receiver drops it before any correlation routing. Pids in requests and
+// replies are written in the sender's context; the transport rebases them
+// into the receiver's (R(sender), §6) in flight, so decoded pids are
+// already the receiver's.
 #pragma once
 
 #include <cstdint>
@@ -66,18 +67,8 @@ struct WireServer {
   MachineId machine;
 };
 
-/// "Context `ctx` is delegated to shard `shard`, whose replica servers
-/// are `servers`" — the delegate's replica set, learned in the same round
-/// trip as the referral that crosses into it (docs/SHARDING.md).
-struct GlueRecord {
-  EntityId ctx;
-  std::uint64_t shard = NsWire::kNoShard;
-  std::vector<WireServer> servers;
-};
-
 /// `[corr, disposition, entity, remaining, error, authority, epoch,
-///   n, (pid, machine)×n, lease_duration, lease_id,
-///   g, (ctx, shard, r, (pid, machine)×r)×g]`.
+///   n, (pid, machine)×n, lease_duration, lease_id, s, shard×s]`.
 struct ResolveReply {
   std::uint64_t corr = 0;
   std::uint64_t disposition = NsWire::kError;
@@ -97,8 +88,11 @@ struct ResolveReply {
   /// Lease granted on the answer; 0 / 0 when none was.
   std::uint64_t lease_duration = 0;
   std::uint64_t lease_id = 0;
-  /// Delegations crossed by a referral into a shard-owned context.
-  std::vector<GlueRecord> glue;
+  /// Referrals: the shard owning `entity` — the glue that lets a client
+  /// learn the shard's route (`replicas`) in the same round trip
+  /// (docs/SHARDING.md). kNoShard on answers and errors; on the wire `s`
+  /// is 1 on a referral and 0 otherwise.
+  std::uint64_t shard = NsWire::kNoShard;
 };
 
 /// `[u64 ctx, u64 epoch, u64 n, (name, u64 target)×n]`: a full snapshot

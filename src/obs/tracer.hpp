@@ -92,8 +92,8 @@ enum class EventKind : std::uint8_t {
   kFaultDropPartition, ///< message dropped: a = from, b = to machine
   kFaultDelay,      ///< reorder window delayed a message; b = extra ticks
   // Sharded delegation (docs/SHARDING.md).
-  kDelegationChase, ///< referral carried a glue record; a = delegated
-                    ///< context, b = owning shard
+  kDelegationChase, ///< routing client learned a referral's shard; a =
+                    ///< delegated context, b = owning shard
   kCrossShardHop,   ///< chase moved between shards; a = from, b = to
   // Online rebalancing (docs/REBALANCING.md).
   kMigrationPhase,  ///< driver phase transition; a = subtree root,

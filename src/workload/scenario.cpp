@@ -39,11 +39,6 @@ ScenarioBuilder& ScenarioBuilder::lease_policy(SimDuration term,
   return *this;
 }
 
-ScenarioBuilder& ScenarioBuilder::anti_entropy(SimDuration interval) {
-  anti_entropy_ = interval;
-  return *this;
-}
-
 ScenarioBuilder& ScenarioBuilder::delegate(EntityId subtree, ShardId shard) {
   delegations_.push_back(Delegation{subtree, shard});
   return *this;
@@ -153,7 +148,6 @@ std::unique_ptr<Cluster> ScenarioBuilder::build() {
   for (MachineId m : cluster->client_machines_) service.add_server(m);
   if (service_time_ > 0) service.set_service_time(service_time_);
   if (lease_term_ > 0) service.set_lease_policy(lease_term_, lease_capacity_);
-  if (anti_entropy_ > 0) service.start_anti_entropy(anti_entropy_);
   if (!tracked_.empty()) service.track_subtree_loads(graph_, tracked_);
 
   if (membership_) {

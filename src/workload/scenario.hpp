@@ -118,8 +118,6 @@ class ScenarioBuilder {
   /// Enable server-side leases (ResolverClientConfig::lease_coherence on
   /// the client side is the caller's half).
   ScenarioBuilder& lease_policy(SimDuration term, std::size_t capacity = 4096);
-  /// Start periodic anti-entropy on the service after wiring.
-  ScenarioBuilder& anti_entropy(SimDuration interval);
 
   /// install_delegation(subtree -> shard), in call order. Order matters
   /// exactly as it does on AuthorityMap: delegate subtrees before their
@@ -162,7 +160,6 @@ class ScenarioBuilder {
   SimDuration service_time_ = 0;
   SimDuration lease_term_ = 0;
   std::size_t lease_capacity_ = 4096;
-  SimDuration anti_entropy_ = 0;
   std::vector<Delegation> delegations_;
   std::vector<EntityId> tracked_;
   bool faults_ = false;

@@ -34,9 +34,13 @@ class FailoverTest : public ::testing::Test {
     ASSERT_TRUE(fs_.create_file_at(shared_, "proj/other", "other").is_ok());
     ASSERT_TRUE(fs_.attach(root_, Name("shared"), shared_).is_ok());
     // The shared tree is replicated: primary m2, secondary m3. The local
-    // tree keeps a single-machine replica set, exercising the compat path.
-    homes_.set_replicas_subtree(graph_, shared_, {m2_, m3_});
-    homes_.set_home_subtree(graph_, root_, m1_);
+    // tree is a one-machine shard.
+    ASSERT_TRUE(
+        homes_.install_delegation(graph_, shared_, homes_.add_shard({m2_, m3_}))
+            .is_ok());
+    ASSERT_TRUE(
+        homes_.install_delegation(graph_, root_, homes_.add_shard({m1_}))
+            .is_ok());
     server1_ = service_.add_server(m1_);
     server2_ = service_.add_server(m2_);
     server3_ = service_.add_server(m3_);
@@ -88,15 +92,15 @@ class FailoverTest : public ::testing::Test {
 // --- AuthorityMap: replica sets --------------------------------------------
 
 TEST_F(FailoverTest, AuthorityMapTracksOrderedReplicaSets) {
-  // set_home is a one-machine replica set (the compat special case).
+  // A one-machine shard is a one-machine replica set.
   ASSERT_EQ(homes_.replicas_of(root_).size(), 1u);
-  EXPECT_EQ(homes_.home_of(root_).value(), m1_);
+  EXPECT_EQ(homes_.replicas_of(root_).front(), m1_);
   EXPECT_TRUE(homes_.is_primary(root_, m1_));
   EXPECT_FALSE(homes_.is_replica(root_, m2_));
 
   // The replicated subtree walk claimed both shared/ and shared/proj.
   ASSERT_EQ(homes_.replicas_of(shared_).size(), 2u);
-  EXPECT_EQ(homes_.home_of(shared_).value(), m2_);  // primary = first
+  EXPECT_EQ(homes_.replicas_of(shared_).front(), m2_);  // primary = first
   EXPECT_TRUE(homes_.is_primary(shared_, m2_));
   EXPECT_TRUE(homes_.is_replica(shared_, m3_));
   EXPECT_FALSE(homes_.is_primary(shared_, m3_));
@@ -320,8 +324,11 @@ faulted_run_signature() {
   EXPECT_TRUE(fs.create_file_at(shared, "proj/readme", "x").is_ok());
   EXPECT_TRUE(fs.attach(root, Name("shared"), shared).is_ok());
   AuthorityMap homes;
-  homes.set_replicas_subtree(graph, shared, {m2, m3});
-  homes.set_home_subtree(graph, root, m1);
+  EXPECT_TRUE(
+      homes.install_delegation(graph, shared, homes.add_shard({m2, m3}))
+          .is_ok());
+  EXPECT_TRUE(
+      homes.install_delegation(graph, root, homes.add_shard({m1})).is_ok());
   NameService service(graph, net, transport, homes);
   service.add_server(m1);
   service.add_server(m2);

@@ -38,8 +38,12 @@ class LeaseTest : public ::testing::Test {
     ASSERT_TRUE(fs_.create_file_at(shared_, "proj/readme", "v1").is_ok());
     ASSERT_TRUE(fs_.create_file_at(root_, "local/data.txt", "d").is_ok());
     ASSERT_TRUE(fs_.attach(root_, Name("shared"), shared_).is_ok());
-    homes_.set_home_subtree(graph_, shared_, m2_);
-    homes_.set_home_subtree(graph_, root_, m1_);
+    ASSERT_TRUE(
+        homes_.install_delegation(graph_, shared_, homes_.add_shard({m2_}))
+            .is_ok());
+    ASSERT_TRUE(
+        homes_.install_delegation(graph_, root_, homes_.add_shard({m1_}))
+            .is_ok());
     server1_ = service_.add_server(m1_);
     server2_ = service_.add_server(m2_);
     Context ctx = FileSystem::make_process_context(root_, root_);
@@ -299,7 +303,9 @@ TEST_F(LeaseTest, EpochTableIsBoundedLru) {
   }
   // The new directories were created after SetUp claimed the subtree;
   // re-walk so they get an authoritative home too.
-  homes_.set_home_subtree(graph_, shared_, m2_);
+  ASSERT_TRUE(
+      homes_.install_delegation(graph_, shared_, homes_.add_shard({m2_}))
+          .is_ok());
 
   ResolverClientConfig config;  // cache off: every resolve notes epochs
   config.epoch_table_capacity = 4;
@@ -447,8 +453,11 @@ TEST(LeaseReplicationTest, PrimaryOwnsInvalidationSecondariesHoldNoLeases) {
   EntityId shared = fs.make_root("shared");
   ASSERT_TRUE(fs.create_file_at(shared, "proj/readme", "v1").is_ok());
   ASSERT_TRUE(fs.attach(root, Name("shared"), shared).is_ok());
-  homes.set_replicas_subtree(graph, shared, {m2, m3});
-  homes.set_home_subtree(graph, root, m1);
+  ASSERT_TRUE(
+      homes.install_delegation(graph, shared, homes.add_shard({m2, m3}))
+          .is_ok());
+  ASSERT_TRUE(
+      homes.install_delegation(graph, root, homes.add_shard({m1})).is_ok());
   service.add_server(m1);
   service.add_server(m2);
   service.add_server(m3);

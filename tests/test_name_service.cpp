@@ -29,8 +29,12 @@ class NameServiceTest : public ::testing::Test {
     ASSERT_TRUE(
         fs_.create_file_at(shared_, "proj/readme", "shared readme").is_ok());
     ASSERT_TRUE(fs_.attach(root_, Name("shared"), shared_).is_ok());
-    homes_.set_home_subtree(graph_, shared_, m2_);
-    homes_.set_home_subtree(graph_, root_, m1_);
+    ASSERT_TRUE(
+        homes_.install_delegation(graph_, shared_, homes_.add_shard({m2_}))
+            .is_ok());
+    ASSERT_TRUE(
+        homes_.install_delegation(graph_, root_, homes_.add_shard({m1_}))
+            .is_ok());
     server1_ = service_.add_server(m1_);
     server2_ = service_.add_server(m2_);
   }
@@ -52,18 +56,18 @@ TEST_F(NameServiceTest, AuthorityMapSubtreeAssignment) {
   Context ctx = FileSystem::make_process_context(root_, root_);
   EntityId local_dir = fs_.resolve_path(ctx, "/local").entity;
   EntityId proj_dir = fs_.resolve_path(ctx, "/shared/proj").entity;
-  EXPECT_EQ(homes_.home_of(root_).value(), m1_);
-  EXPECT_EQ(homes_.home_of(local_dir).value(), m1_);
-  EXPECT_EQ(homes_.home_of(shared_).value(), m2_);
-  EXPECT_EQ(homes_.home_of(proj_dir).value(), m2_);
-  EXPECT_FALSE(homes_.home_of(EntityId(9999)).is_ok());
+  EXPECT_EQ(homes_.replicas_of(root_).front(), m1_);
+  EXPECT_EQ(homes_.replicas_of(local_dir).front(), m1_);
+  EXPECT_EQ(homes_.replicas_of(shared_).front(), m2_);
+  EXPECT_EQ(homes_.replicas_of(proj_dir).front(), m2_);
+  EXPECT_TRUE(homes_.replicas_of(EntityId(9999)).empty());
 }
 
 TEST_F(NameServiceTest, AuthorityMapDoesNotOverrideForeignAuthority) {
   // root_ was assigned after shared_; the shared subtree kept m2.
-  EXPECT_EQ(homes_.home_of(shared_).value(), m2_);
-  EXPECT_TRUE(homes_.has_home(root_));
-  EXPECT_GT(homes_.size(), 2u);
+  EXPECT_EQ(homes_.replicas_of(shared_).front(), m2_);
+  EXPECT_NE(homes_.shard_of(root_), AuthorityMap::kNoShard);
+  EXPECT_NE(homes_.shard_of(root_), homes_.shard_of(shared_));
 }
 
 TEST_F(NameServiceTest, LocalResolutionNoReferral) {
@@ -88,6 +92,31 @@ TEST_F(NameServiceTest, CrossMachineResolutionViaReferral) {
   EXPECT_EQ(client.snapshot()["messages_sent"], 2u);
   EXPECT_EQ(service_.snapshot()["referrals"], 1u);
   EXPECT_EQ(service_.snapshot()["answers"], 1u);
+}
+
+TEST_F(NameServiceTest, ShardRoutingLearnsAOneMachineShardsRoute) {
+  // shared_ is a one-machine shard on m2. The referral into it names that
+  // shard, so a shard-routing client learns m2 as its route and a later
+  // lookup starting inside the shard goes straight there.
+  ResolverClientConfig config;
+  config.shard_routing = true;
+  ResolverClient client(graph_, net_, transport_, sim_, service_, m1_, "c",
+                        config);
+  auto result =
+      client.resolve(root_, CompoundName::relative("shared/proj/readme"));
+  ASSERT_TRUE(result.is_ok());
+  EXPECT_EQ(graph_.data(result.value()), "shared readme");
+  const MetricsRegistry& metrics = transport_.metrics();
+  EXPECT_EQ(metrics.counter_value("ns.shard.delegations_chased"), 1u);
+  EXPECT_GT(metrics.counter_value("ns.shard.glue_hits"), 0u);
+  EXPECT_EQ(metrics.counter_value("ns.shard.cross_shard_hops"), 1u);
+
+  auto direct = client.resolve(shared_, CompoundName::relative("proj/readme"));
+  ASSERT_TRUE(direct.is_ok());
+  EXPECT_EQ(direct.value(), result.value());
+  EXPECT_EQ(metrics.counter_value("ns.shard.route_reuses"), 1u);
+  EXPECT_EQ(client.snapshot()["referrals_followed"], 1u);
+  EXPECT_EQ(client.snapshot()["messages_sent"], 3u);
 }
 
 TEST_F(NameServiceTest, ReferralFromRemoteClientMachine) {
@@ -270,7 +299,9 @@ TEST_F(NameServiceTest, QuiescentAntiEntropySendsNoPushes) {
   // send zero kUpdatePush messages per tick: the one-time sweep on start
   // is suppressed by the per-secondary epoch gate, and later ticks iterate
   // an empty dirty set.
-  homes_.set_replicas_subtree(graph_, shared_, {m2_, m3_});
+  ASSERT_TRUE(
+      homes_.install_delegation(graph_, shared_, homes_.add_shard({m2_, m3_}))
+          .is_ok());
   service_.add_server(m3_);
   service_.publish_update(shared_);
   sim_.run();
@@ -293,7 +324,9 @@ TEST_F(NameServiceTest, AntiEntropyIntervalChangeRetimesTheNextTick) {
   // ignored until the *previous* interval elapsed once. The re-start must
   // abandon the stale tick (generation stamp) and converge a lagging
   // secondary on the new cadence.
-  homes_.set_replicas_subtree(graph_, shared_, {m2_, m3_});
+  ASSERT_TRUE(
+      homes_.install_delegation(graph_, shared_, homes_.add_shard({m2_, m3_}))
+          .is_ok());
   service_.add_server(m3_);
   service_.publish_update(shared_);
   sim_.run();

@@ -32,8 +32,12 @@ class NsHardeningTest : public ::testing::Test {
     ASSERT_TRUE(
         fs_.create_file_at(shared_, "proj/readme", "shared readme").is_ok());
     ASSERT_TRUE(fs_.attach(root_, Name("shared"), shared_).is_ok());
-    homes_.set_home_subtree(graph_, shared_, m2_);
-    homes_.set_home_subtree(graph_, root_, m1_);
+    ASSERT_TRUE(
+        homes_.install_delegation(graph_, shared_, homes_.add_shard({m2_}))
+            .is_ok());
+    ASSERT_TRUE(
+        homes_.install_delegation(graph_, root_, homes_.add_shard({m1_}))
+            .is_ok());
     server1_ = service_.add_server(m1_);
     server2_ = service_.add_server(m2_);
   }
@@ -284,7 +288,8 @@ TEST_F(NsHardeningTest, ReferralChainSurvivesLossWithRetries) {
   EntityId deep = fs_.make_root("deep");
   ASSERT_TRUE(fs_.create_file_at(deep, "leaf", "deep leaf").is_ok());
   ASSERT_TRUE(fs_.attach(shared_, Name("deep"), deep).is_ok());
-  homes_.set_home_subtree(graph_, deep, m3_);
+  ASSERT_TRUE(
+      homes_.install_delegation(graph_, deep, homes_.add_shard({m3_})).is_ok());
 
   TransportConfig lossy;
   lossy.drop_probability = 0.4;
@@ -472,18 +477,20 @@ TEST_F(NsHardeningTest, NegativeEntryInvalidatedWhenNameAppears) {
   EXPECT_EQ(client.snapshot()["stale_epoch_drops"], 1u);
 }
 
-// --- Satellite: AuthorityMap::set_home_subtree re-homes the root ----------------
+// --- AuthorityMap::install_delegation re-homes the root ----------------------
 
-TEST_F(NsHardeningTest, SetHomeSubtreeRehomesRoot) {
-  // Pre-fix this call silently no-opped when the root already had a
-  // different home, leaving the caller none the wiser.
-  ASSERT_EQ(homes_.home_of(shared_).value(), m2_);
-  homes_.set_home_subtree(graph_, shared_, m3_);
-  EXPECT_EQ(homes_.home_of(shared_).value(), m3_);
+TEST_F(NsHardeningTest, InstallDelegationRehomesRoot) {
+  // A delegation must never silently no-op when the root already has a
+  // different owner, leaving the caller none the wiser.
+  ASSERT_EQ(homes_.replicas_of(shared_).front(), m2_);
+  ASSERT_TRUE(
+      homes_.install_delegation(graph_, shared_, homes_.add_shard({m3_}))
+          .is_ok());
+  EXPECT_EQ(homes_.replicas_of(shared_).front(), m3_);
   // Descendants that already had their own (now foreign) authority keep it.
   Context ctx = FileSystem::make_process_context(root_, root_);
   EntityId proj = fs_.resolve_path(ctx, "/shared/proj").entity;
-  EXPECT_EQ(homes_.home_of(proj).value(), m2_);
+  EXPECT_EQ(homes_.replicas_of(proj).front(), m2_);
 }
 
 // --- Referral forwarding is slice-based ------------------------------------
@@ -502,9 +509,10 @@ TEST_F(NsHardeningTest, RogueReferralRemainingIsRejectedNotForwarded) {
         reply.disposition = NsWire::kReferral;
         reply.entity = request->start;
         reply.remaining = "evil/detour";
-        // One replica (itself), so the referral is well-formed and reaches
-        // the client's suffix check.
+        // One replica (itself) and a shard, so the referral is
+        // well-formed and reaches the client's suffix check.
         reply.replicas.push_back(WireServer{Pid::self(), m1_});
+        reply.shard = homes_.shard_of(request->start);
         (void)transport_.send(self, message.reply_to,
                               encode_resolve_reply(reply));
       });

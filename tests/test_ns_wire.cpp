@@ -8,7 +8,7 @@
 namespace namecoh {
 namespace {
 
-ResolveReply glued_referral() {
+ResolveReply referral() {
   ResolveReply reply;
   reply.corr = 42;
   reply.disposition = NsWire::kReferral;
@@ -18,10 +18,7 @@ ResolveReply glued_referral() {
   reply.epoch = 3;
   reply.replicas = {WireServer{Pid{1, 2, 3}, MachineId(7)},
                     WireServer{Pid{1, 2, 4}, MachineId(8)}};
-  for (std::uint64_t g = 0; g < 2; ++g) {
-    reply.glue.push_back(GlueRecord{
-        EntityId(100 + g), g, {WireServer{Pid{4, 5, 6}, MachineId(20 + g)}}});
-  }
+  reply.shard = 5;
   return reply;
 }
 
@@ -82,6 +79,9 @@ TEST(NsWireTest, AnswerRoundTripsWithItsLease) {
   answer.lease_id = 12;
   const Message message = encode_resolve_reply(answer);
   EXPECT_EQ(message.trace_corr, 7u);
+  // Twelve fields through the lease pair, then the shard count 0.
+  ASSERT_EQ(message.payload.size(), 13u);
+  EXPECT_EQ(message.payload.u64_at(12), 0u);
   auto reply = decode_resolve_reply(message);
   ASSERT_TRUE(reply.has_value());
   EXPECT_EQ(reply->corr, 7u);
@@ -95,23 +95,22 @@ TEST(NsWireTest, AnswerRoundTripsWithItsLease) {
   EXPECT_EQ(reply->replicas[0].machine, MachineId(0));
   EXPECT_EQ(reply->lease_duration, 5000u);
   EXPECT_EQ(reply->lease_id, 12u);
-  EXPECT_TRUE(reply->glue.empty());
+  EXPECT_EQ(reply->shard, NsWire::kNoShard);
 }
 
-TEST(NsWireTest, ReferralWithGlueRoundTrips) {
-  auto reply = decode_resolve_reply(encode_resolve_reply(glued_referral()));
+TEST(NsWireTest, ReferralWithShardRoundTrips) {
+  const Message message = encode_resolve_reply(referral());
+  // Fourteen fields through the lease pair, the shard count 1, the shard.
+  ASSERT_EQ(message.payload.size(), 16u);
+  EXPECT_EQ(message.payload.u64_at(14), 1u);
+  auto reply = decode_resolve_reply(message);
   ASSERT_TRUE(reply.has_value());
   EXPECT_EQ(reply->disposition, NsWire::kReferral);
   EXPECT_EQ(reply->remaining, "c0/f");
   ASSERT_EQ(reply->replicas.size(), 2u);
   EXPECT_EQ(reply->replicas[1].machine, MachineId(8));
   EXPECT_EQ(reply->lease_id, 0u);  // the empty lease pair
-  ASSERT_EQ(reply->glue.size(), 2u);
-  EXPECT_EQ(reply->glue[0].ctx, EntityId(100));
-  EXPECT_EQ(reply->glue[1].shard, 1u);
-  ASSERT_EQ(reply->glue[1].servers.size(), 1u);
-  EXPECT_EQ(reply->glue[1].servers[0].pid, (Pid{4, 5, 6}));
-  EXPECT_EQ(reply->glue[1].servers[0].machine, MachineId(21));
+  EXPECT_EQ(reply->shard, 5u);
 }
 
 TEST(NsWireTest, ErrorWithoutAuthorityRoundTrips) {
@@ -125,6 +124,7 @@ TEST(NsWireTest, ErrorWithoutAuthorityRoundTrips) {
   EXPECT_FALSE(reply->authority.valid());
   EXPECT_EQ(reply->error, "NOT_FOUND: no binding for 'x'");
   EXPECT_TRUE(reply->replicas.empty());
+  EXPECT_EQ(reply->shard, NsWire::kNoShard);
 }
 
 TEST(NsWireTest, UpdatePushRoundTrips) {
@@ -161,17 +161,46 @@ TEST(NsWireTest, DecodersRefuseAnotherMessageType) {
 
 // --- Strict decoding -------------------------------------------------------
 
-TEST(NsWireTest, TruncatedGlueRecordIsRejected) {
-  const Message whole = encode_resolve_reply(glued_referral());
-  // Drop the last glue record's final (pid, machine) pair: the record
-  // still claims one server.
+TEST(NsWireTest, TruncatedShardIsRejected) {
+  const Message whole = encode_resolve_reply(referral());
+  // Drop the shard id: the count still claims one.
   EXPECT_FALSE(
-      decode_resolve_reply(truncated(whole, whole.payload.size() - 2))
+      decode_resolve_reply(truncated(whole, whole.payload.size() - 1))
           .has_value());
 }
 
+TEST(NsWireTest, ReferralWithoutShardIsRejected) {
+  ResolveReply unsharded = referral();
+  unsharded.shard = NsWire::kNoShard;  // encodes as s = 0
+  EXPECT_FALSE(
+      decode_resolve_reply(encode_resolve_reply(unsharded)).has_value());
+}
+
+TEST(NsWireTest, AnswerWithShardIsRejected) {
+  ResolveReply answer;
+  answer.corr = 7;
+  answer.disposition = NsWire::kAnswer;
+  answer.entity = EntityId(11);
+  answer.shard = 3;  // encodes as s = 1, shard 3
+  EXPECT_FALSE(decode_resolve_reply(encode_resolve_reply(answer)).has_value());
+}
+
+TEST(NsWireTest, NoShardIdIsRejected) {
+  const Message whole = encode_resolve_reply(referral());
+  Message reply = truncated(whole, whole.payload.size() - 1);
+  reply.payload.add_u64(NsWire::kNoShard);
+  EXPECT_FALSE(decode_resolve_reply(reply).has_value());
+}
+
+TEST(NsWireTest, ReferralWithoutContextIsRejected) {
+  ResolveReply anonymous = referral();
+  anonymous.entity = EntityId::invalid();
+  EXPECT_FALSE(
+      decode_resolve_reply(encode_resolve_reply(anonymous)).has_value());
+}
+
 TEST(NsWireTest, OneTrailingFieldIsRejected) {
-  Message reply = encode_resolve_reply(glued_referral());
+  Message reply = encode_resolve_reply(referral());
   reply.payload.add_u64(0);
   EXPECT_FALSE(decode_resolve_reply(reply).has_value());
   Message request =
@@ -194,7 +223,7 @@ TEST(NsWireTest, WrongFieldTypeIsRejected) {
   request.payload.add_u64(1).add_u64(2).add_string("a").add_u64(0);
   EXPECT_FALSE(decode_resolve_request(request).has_value());
   // A reply whose first replica machine is a pid.
-  const Message whole = encode_resolve_reply(glued_referral());
+  const Message whole = encode_resolve_reply(referral());
   Message reply = truncated(whole, 9);  // through the first replica pid
   reply.payload.add_pid(Pid{1, 2, 3});
   copy_fields(whole.payload, 10, whole.payload.size(), reply.payload);
@@ -203,10 +232,9 @@ TEST(NsWireTest, WrongFieldTypeIsRejected) {
 }
 
 TEST(NsWireTest, ReferralWithoutReplicasIsRejected) {
-  ResolveReply referral = glued_referral();
-  referral.replicas.clear();
-  EXPECT_FALSE(
-      decode_resolve_reply(encode_resolve_reply(referral)).has_value());
+  ResolveReply bare = referral();
+  bare.replicas.clear();
+  EXPECT_FALSE(decode_resolve_reply(encode_resolve_reply(bare)).has_value());
 }
 
 TEST(NsWireTest, ThreeFieldRequestIsRejected) {
@@ -217,7 +245,7 @@ TEST(NsWireTest, ThreeFieldRequestIsRejected) {
 
 TEST(NsWireTest, TailLessReplyIsRejected) {
   // Eight fields ending at the epoch, with a pid before the authority:
-  // no replica list, lease pair or glue count.
+  // no replica list, lease pair or shard count.
   Message reply;
   reply.type = NsWire::kResolveReply;
   reply.payload.add_u64(1)

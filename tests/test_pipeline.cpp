@@ -41,8 +41,12 @@ class PipelineTest : public ::testing::Test {
       ASSERT_TRUE(fs_.create_file_at(shared_, path, "f").is_ok());
     }
     ASSERT_TRUE(fs_.attach(root_, Name("shared"), shared_).is_ok());
-    homes_.set_home_subtree(graph_, shared_, m2_);
-    homes_.set_home_subtree(graph_, root_, m1_);
+    ASSERT_TRUE(
+        homes_.install_delegation(graph_, shared_, homes_.add_shard({m2_}))
+            .is_ok());
+    ASSERT_TRUE(
+        homes_.install_delegation(graph_, root_, homes_.add_shard({m1_}))
+            .is_ok());
     service_.add_server(m1_);
     service_.add_server(m2_);
   }

@@ -1,5 +1,5 @@
 // Sharded delegation fabric tests (docs/SHARDING.md): AuthorityMap shard
-// registration and subtree delegation (precedence, self-delegation and
+// registration and subtree delegation (walk contract, self-delegation and
 // cycle refusal), consistent-hash placement for flat namespaces, glue
 // chases across chained delegations, and lease invalidation after a
 // context migrates across a delegation boundary.
@@ -13,6 +13,7 @@
 #include "net/wire.hpp"
 #include "ns/name_service.hpp"
 #include "ns/shard_ring.hpp"
+#include "util/rng.hpp"
 
 namespace namecoh {
 namespace {
@@ -54,21 +55,9 @@ TEST_F(DelegationTest, InstallDelegationClaimsUnownedSubtrees) {
   // A context deep inside the delegated subtree follows its shard.
   const EntityId inner = graph_.lookup(sub, Name("c0")).value();
   EXPECT_EQ(homes_.shard_of(inner), s1_);
-  EXPECT_EQ(homes_.home_of(inner).value(), mb_);
+  EXPECT_EQ(homes_.replicas_of(inner).front(), mb_);
   EXPECT_TRUE(homes_.is_primary(inner, mb_));
   EXPECT_FALSE(homes_.is_replica(inner, ma_));
-}
-
-TEST_F(DelegationTest, ExplicitHomesTakePrecedenceOverShards) {
-  const EntityId sub = tree_.levels[1][0];
-  homes_.set_home_subtree(graph_, sub, mc_);
-  ASSERT_TRUE(homes_.install_delegation(graph_, root_, s0_).is_ok());
-  // The shard claim walked around the explicitly homed region…
-  const EntityId inner = graph_.lookup(sub, Name("c1")).value();
-  EXPECT_EQ(homes_.home_of(sub).value(), mc_);
-  EXPECT_EQ(homes_.home_of(inner).value(), mc_);
-  // …and the rest of the tree resolved to the shard's replica set.
-  EXPECT_EQ(homes_.home_of(tree_.levels[1][1]).value(), ma_);
 }
 
 TEST_F(DelegationTest, SelfDelegationIsRefused) {
@@ -108,6 +97,146 @@ TEST_F(DelegationTest, HashDelegationPlacesEveryChildByRing) {
   // Idempotent: re-running places nothing new and refuses nothing.
   EXPECT_TRUE(homes_.delegate_children_by_hash(graph_, root_, ring).is_ok());
 }
+
+// --- Ownership is a partition (randomized) ----------------------------------
+
+/// Every context's shard, indexed by position in `ctxs`.
+std::vector<ShardId> ownership(const AuthorityMap& homes,
+                               const std::vector<EntityId>& ctxs) {
+  std::vector<ShardId> out;
+  out.reserve(ctxs.size());
+  for (EntityId ctx : ctxs) out.push_back(homes.shard_of(ctx));
+  return out;
+}
+
+/// The invariants that make ownership a partition: one shard (or none)
+/// per context, and every authority query answers from that shard.
+void expect_partition(const NamingGraph& graph, const AuthorityMap& homes,
+                      const std::vector<EntityId>& ctxs) {
+  std::vector<EntityId> replicated;
+  for (EntityId ctx : ctxs) {
+    const ShardId shard = homes.shard_of(ctx);
+    ASSERT_TRUE(shard == AuthorityMap::kNoShard ||
+                shard < homes.shard_count());
+    auto replicas = homes.replicas_of(ctx);
+    auto expected = homes.shard_replicas(shard);
+    ASSERT_TRUE(std::equal(replicas.begin(), replicas.end(), expected.begin(),
+                           expected.end()))
+        << "context " << ctx.value();
+    if (replicas.size() >= 2) replicated.push_back(ctx);
+    for (EntityId member : homes.shard_subtree(graph, ctx)) {
+      ASSERT_EQ(homes.shard_of(member), shard);
+    }
+  }
+  EXPECT_EQ(homes.replicated_contexts(), replicated);
+}
+
+class OwnershipPartitionTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(OwnershipPartitionTest, RandomDelegationsMigrationsAndHashPlacement) {
+  Rng rng(static_cast<std::uint64_t>(GetParam()));
+  // A random tree of contexts, plus a few cross-links (shared subtrees
+  // attached under a second name, and back edges), in entity-id order.
+  NamingGraph graph;
+  std::vector<EntityId> ctxs{graph.add_context_object("root")};
+  const std::size_t n = 20 + rng.next_below(60);
+  for (std::size_t i = 1; i < n; ++i) {
+    const EntityId parent = ctxs[rng.next_below(ctxs.size())];
+    const EntityId child = graph.add_context_object("d");
+    ASSERT_TRUE(graph.bind(parent, Name("d" + std::to_string(i)), child)
+                    .is_ok());
+    ctxs.push_back(child);
+    if (rng.bernoulli(0.1)) {
+      const EntityId from = ctxs[rng.next_below(ctxs.size())];
+      const EntityId to = ctxs[rng.next_below(ctxs.size())];
+      ASSERT_TRUE(graph.bind(from, Name("x" + std::to_string(i)), to).is_ok());
+    }
+  }
+  auto pick = [&] { return ctxs[rng.next_below(ctxs.size())]; };
+  AuthorityMap homes;
+  auto new_shard = [&] {
+    std::vector<MachineId> replicas;
+    const std::size_t size = 1 + rng.next_below(3);
+    for (std::uint64_t m = rng.next_below(8); replicas.size() < size; ++m) {
+      replicas.push_back(MachineId(m));
+    }
+    return homes.add_shard(std::move(replicas));
+  };
+  (void)new_shard();
+
+  for (int step = 0; step < 60; ++step) {
+    switch (rng.next_below(3)) {
+      case 0: {
+        // One-machine or replicated shard, fresh or already registered (so
+        // self-delegations and cycles get tried too).
+        const ShardId shard = rng.bernoulli(0.5)
+                                  ? new_shard()
+                                  : static_cast<ShardId>(
+                                        rng.next_below(homes.shard_count()));
+        const EntityId root = pick();
+        const std::vector<ShardId> before = ownership(homes, ctxs);
+        if (homes.install_delegation(graph, root, shard).is_ok()) {
+          // The root is reassigned; everything else either kept its owner
+          // or was unowned and is now claimed.
+          EXPECT_EQ(homes.shard_of(root), shard);
+          const std::vector<ShardId> after = ownership(homes, ctxs);
+          for (std::size_t i = 0; i < ctxs.size(); ++i) {
+            if (ctxs[i] == root || after[i] == before[i]) continue;
+            EXPECT_EQ(before[i], AuthorityMap::kNoShard);
+            EXPECT_EQ(after[i], shard);
+          }
+        } else {
+          EXPECT_EQ(ownership(homes, ctxs), before);
+        }
+        break;
+      }
+      case 1: {
+        const EntityId root = pick();
+        const auto to =
+            static_cast<ShardId>(rng.next_below(homes.shard_count()));
+        const ShardId from = homes.shard_of(root);
+        const std::vector<EntityId> moving = homes.shard_subtree(graph, root);
+        const std::vector<ShardId> before = ownership(homes, ctxs);
+        auto moved = homes.migrate_subtree(graph, root, to);
+        if (from == AuthorityMap::kNoShard || from == to) {
+          EXPECT_FALSE(moved.is_ok());
+          EXPECT_EQ(ownership(homes, ctxs), before);
+          break;
+        }
+        ASSERT_TRUE(moved.is_ok());
+        EXPECT_EQ(moved.value(), moving.size());
+        const std::vector<ShardId> after = ownership(homes, ctxs);
+        for (std::size_t i = 0; i < ctxs.size(); ++i) {
+          const bool in_subtree = std::find(moving.begin(), moving.end(),
+                                            ctxs[i]) != moving.end();
+          EXPECT_EQ(after[i], in_subtree ? to : before[i]);
+        }
+        break;
+      }
+      default: {
+        ShardRing ring;
+        ring.add_shard(0);
+        for (ShardId s = 1; s < homes.shard_count(); ++s) {
+          if (rng.bernoulli(0.5)) ring.add_shard(s);
+        }
+        const EntityId parent = pick();
+        std::vector<EntityId> moved;
+        ASSERT_TRUE(
+            homes.delegate_children_by_hash(graph, parent, ring, &moved)
+                .is_ok());
+        for (EntityId child : moved) {
+          EXPECT_NE(homes.shard_of(child), ring.shard_for(child));
+        }
+        break;
+      }
+    }
+    expect_partition(graph, homes, ctxs);
+    if (HasFatalFailure()) return;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, OwnershipPartitionTest,
+                         ::testing::Range(1, 26));
 
 // --- ShardRing ----------------------------------------------------------------
 

@@ -136,9 +136,15 @@ TEST_F(BuildFarm, EndToEndDistributedBuild) {
 TEST_F(BuildFarm, RemoteResolutionAgreesWithSharedTreeSemantics) {
   // Stand up name servers with authority split: each machine owns its own
   // tree, m1 additionally owns the shared tree.
-  homes_.set_home_subtree(graph_, scheme_.shared_tree(), m1_);
-  homes_.set_home_subtree(graph_, scheme_.site_tree(c1_), m1_);
-  homes_.set_home_subtree(graph_, scheme_.site_tree(c2_), m2_);
+  ASSERT_TRUE(homes_.install_delegation(graph_, scheme_.shared_tree(),
+                                        homes_.add_shard({m1_}))
+                  .is_ok());
+  ASSERT_TRUE(homes_.install_delegation(graph_, scheme_.site_tree(c1_),
+                                        homes_.add_shard({m1_}))
+                  .is_ok());
+  ASSERT_TRUE(homes_.install_delegation(graph_, scheme_.site_tree(c2_),
+                                        homes_.add_shard({m2_}))
+                  .is_ok());
   service_.add_server(m1_);
   service_.add_server(m2_);
 
