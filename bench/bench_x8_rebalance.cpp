@@ -371,6 +371,51 @@ void BM_MigrateSubtree(benchmark::State& state) {
 }
 BENCHMARK(BM_MigrateSubtree);
 
+void BM_SnapshotPushApply(benchmark::State& state) {
+  // One migration copy end to end: a 9-binding kUpdatePush encoded on the
+  // primary, sent, delivered, decoded and applied through the intake gate
+  // on a target that is not (yet) a replica. One binding is rebound per
+  // iteration so every push is newer than the stored snapshot and takes
+  // the apply path, not the stale one.
+  NamingGraph graph;
+  const EntityId ctx = graph.add_context_object("ctx");
+  const EntityId a = graph.add_data_object("a");
+  const EntityId b = graph.add_data_object("b");
+  for (int i = 0; i < 8; ++i) {
+    const Name name("entry" + std::to_string(i));
+    NAMECOH_CHECK(graph.bind(ctx, name, a).is_ok(), "bench bind failed");
+  }
+  Internetwork net;
+  Simulator sim;
+  Transport transport(sim, net);
+  NetworkId lan = net.add_network("lan");
+  MachineId from = net.add_machine(lan, "from");
+  MachineId to = net.add_machine(lan, "to");
+  AuthorityMap homes;
+  NAMECOH_CHECK(
+      homes.install_delegation(graph, ctx, homes.add_shard({from})).is_ok(),
+      "bench delegation failed");
+  NameService service(graph, net, transport, homes);
+  service.add_server(from);
+  service.add_server(to);
+  service.open_migration_intake(to, {ctx});
+  const Name moving("moving");
+  bool flip = false;
+  for (auto _ : state) {
+    NAMECOH_CHECK(graph.bind(ctx, moving, flip ? a : b).is_ok(),
+                  "bench rebind failed");
+    flip = !flip;
+    benchmark::DoNotOptimize(service.push_snapshot(ctx, to));
+    sim.run();
+  }
+  NAMECOH_CHECK(
+      transport.metrics().counter_value("ns.server.updates_applied") ==
+          static_cast<std::uint64_t>(state.iterations()),
+      "a snapshot push was not applied");
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_SnapshotPushApply);
+
 void BM_PlannerPropose(benchmark::State& state) {
   // One planner consult: read 4 shards' load counters, rank 8 candidates.
   NamingGraph graph;

@@ -1,6 +1,18 @@
 #include "net/wire.hpp"
 
+#include <algorithm>
+
 namespace namecoh {
+namespace {
+
+/// Bytes put_varint writes for `v`.
+std::size_t varint_size(std::uint64_t v) {
+  std::size_t n = 1;
+  for (; v >= 0x80; v >>= 7) ++n;
+  return n;
+}
+
+}  // namespace
 
 Payload& Payload::add_u64(std::uint64_t v) {
   fields_.push_back(Field::u64(v));
@@ -145,7 +157,29 @@ Result<Pid> get_pid(std::span<const std::uint8_t>& in) {
 }
 
 std::vector<std::uint8_t> Payload::encode() const {
+  // Size the frame exactly first: one allocation per encode.
+  std::size_t size = varint_size(fields_.size()) + fields_.size();
+  for (const Field& f : fields_) {
+    switch (f.type) {
+      case FieldType::kU64:
+        size += varint_size(std::get<std::uint64_t>(f.value));
+        break;
+      case FieldType::kString:
+      case FieldType::kName: {
+        const std::string& bytes = std::get<std::string>(f.value);
+        size += varint_size(bytes.size()) + bytes.size();
+        break;
+      }
+      case FieldType::kPid: {
+        const Pid& pid = std::get<Pid>(f.value);
+        size += varint_size(pid.naddr) + varint_size(pid.maddr) +
+                varint_size(pid.laddr);
+        break;
+      }
+    }
+  }
   std::vector<std::uint8_t> out;
+  out.reserve(size);
   put_varint(out, fields_.size());
   for (const Field& f : fields_) {
     out.push_back(static_cast<std::uint8_t>(f.type));
@@ -169,6 +203,11 @@ Result<Payload> Payload::decode(std::span<const std::uint8_t> bytes) {
   Payload out;
   auto count = get_varint(bytes);
   if (!count.is_ok()) return count.status();
+  // Every field takes at least two bytes (tag + one value byte), so the
+  // bytes left bound how many fields can really follow: a forged count
+  // cannot force a large allocation, and the loop below still refuses it.
+  out.reserve(static_cast<std::size_t>(
+      std::min<std::uint64_t>(count.value(), bytes.size() / 2)));
   for (std::uint64_t i = 0; i < count.value(); ++i) {
     if (bytes.empty()) return invalid_argument_error("truncated payload");
     auto type = static_cast<FieldType>(bytes.front());

@@ -61,6 +61,10 @@ class Payload {
   /// (docs/INTERNING.md).
   Payload& add_name(NameSlice name);
 
+  /// Make room for `n` fields, so a payload built or decoded to a known
+  /// count grows its field vector once.
+  void reserve(std::size_t n) { fields_.reserve(n); }
+
   [[nodiscard]] std::size_t size() const { return fields_.size(); }
   [[nodiscard]] bool empty() const { return fields_.empty(); }
   [[nodiscard]] const Field& at(std::size_t i) const { return fields_.at(i); }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <deque>
-#include <unordered_set>
 #include <utility>
 
 namespace namecoh {
@@ -137,22 +136,24 @@ std::vector<EntityId> AuthorityMap::shard_subtree(const NamingGraph& graph,
   if (owner == kNoShard || !graph.is_context_object(root)) return out;
   // The same walk shape as install_delegation, read-only: collect every
   // context the owning shard holds under `root`, stopping where another
-  // shard's region begins.
-  std::unordered_set<EntityId> seen{root};
+  // shard's region begins. `out` is its own BFS frontier (out[next..] is
+  // still to expand). Every member is owner-held, so its id indexes
+  // shard_of_ and the marks; they are cleared from `out` on the way out,
+  // keeping the walk O(subtree).
+  visited_.resize(shard_of_.size());
+  visited_[root.value()] = true;
   out.push_back(root);
-  std::deque<EntityId> frontier{root};
-  while (!frontier.empty()) {
-    EntityId ctx = frontier.front();
-    frontier.pop_front();
-    for (const auto& [name, target] : graph.context(ctx).bindings()) {
+  for (std::size_t next = 0; next < out.size(); ++next) {
+    for (const auto& [name, target] : graph.context(out[next]).bindings()) {
       if (name.is_cwd() || name.is_parent()) continue;
       if (!graph.is_context_object(target)) continue;
       if (shard_of(target) != owner) continue;
-      if (!seen.insert(target).second) continue;
+      if (visited_[target.value()]) continue;
+      visited_[target.value()] = true;
       out.push_back(target);
-      frontier.push_back(target);
     }
   }
+  for (EntityId ctx : out) visited_[ctx.value()] = false;
   return out;
 }
 

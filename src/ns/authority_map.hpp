@@ -70,7 +70,9 @@ class AuthorityMap {
   /// Every context the shard owning `root` owns in the subtree under
   /// `root` (tree edges, skipping `.`/`..`, stopping at contexts another
   /// shard owns). Empty when no shard owns `root`. This is the unit a
-  /// migration transfers.
+  /// migration transfers. Reuses an internal mark vector, so concurrent
+  /// calls on one map race (the name service drives it from the
+  /// simulator's single thread).
   [[nodiscard]] std::vector<EntityId> shard_subtree(const NamingGraph& graph,
                                                     EntityId root) const;
 
@@ -115,6 +117,9 @@ class AuthorityMap {
   /// Shard-level delegation edges (owner at install time → delegate),
   /// for cycle refusal at install time.
   std::vector<std::vector<ShardId>> delegates_of_;
+  /// shard_subtree's visited marks, entity-indexed like shard_of_ (one
+  /// bit per entity). All clear between calls.
+  mutable std::vector<bool> visited_;
 };
 
 }  // namespace namecoh

@@ -176,7 +176,9 @@ void NameService::drop_leases(MachineId machine, EntityId ctx) {
 void NameService::open_migration_intake(MachineId target,
                                         const std::vector<EntityId>& ctxs) {
   auto& allowed = intake_[target];
-  allowed.insert(ctxs.begin(), ctxs.end());
+  allowed.insert(allowed.end(), ctxs.begin(), ctxs.end());
+  std::sort(allowed.begin(), allowed.end());
+  allowed.erase(std::unique(allowed.begin(), allowed.end()), allowed.end());
 }
 
 void NameService::close_migration_intake(MachineId target) {
@@ -214,12 +216,10 @@ void NameService::install_forwarding(ShardId from_shard,
                                      SimTime expires) {
   auto machines = homes_.shard_replicas(from_shard);
   if (machines.empty() || ctxs.empty()) return;
+  auto sorted = std::make_shared<std::vector<EntityId>>(ctxs);
+  std::sort(sorted->begin(), sorted->end());
   for (MachineId m : machines) {
-    auto& slots = forwarding_[m];
-    for (EntityId ctx : ctxs) {
-      SimTime& slot = slots[ctx];
-      slot = std::max(slot, expires);
-    }
+    forwarding_[m].push_back(ForwardingWindow{sorted, expires});
   }
   transport_.simulator().schedule_at(expires, [this] { purge_forwarding(); });
 }
@@ -227,11 +227,10 @@ void NameService::install_forwarding(ShardId from_shard,
 void NameService::purge_forwarding() {
   const SimTime now = transport_.simulator().now();
   for (auto it = forwarding_.begin(); it != forwarding_.end();) {
-    auto& slots = it->second;
-    for (auto slot = slots.begin(); slot != slots.end();) {
-      slot = slot->second <= now ? slots.erase(slot) : std::next(slot);
-    }
-    it = slots.empty() ? forwarding_.erase(it) : std::next(it);
+    std::erase_if(it->second, [now](const ForwardingWindow& w) {
+      return w.expires <= now;
+    });
+    it = it->second.empty() ? forwarding_.erase(it) : std::next(it);
   }
 }
 
@@ -239,11 +238,14 @@ std::size_t NameService::forwarding_count(MachineId machine) const {
   auto it = forwarding_.find(machine);
   if (it == forwarding_.end()) return 0;
   const SimTime now = transport_.simulator().now();
-  std::size_t live = 0;
-  for (const auto& [ctx, expires] : it->second) {
-    if (expires > now) ++live;
+  std::vector<EntityId> live;
+  for (const ForwardingWindow& w : it->second) {
+    if (w.expires <= now) continue;
+    live.insert(live.end(), w.ctxs->begin(), w.ctxs->end());
   }
-  return live;
+  std::sort(live.begin(), live.end());
+  return static_cast<std::size_t>(
+      std::unique(live.begin(), live.end()) - live.begin());
 }
 
 void NameService::track_subtree_loads(const NamingGraph& graph,
@@ -494,20 +496,22 @@ void NameService::handle_update(EndpointId self, const Message& message) {
                          !homes_.is_primary(ctx, my_machine.value());
   if (!secondary) {
     auto open = intake_.find(my_machine.value());
-    if (open == intake_.end() || !open->second.contains(ctx)) return;
+    if (open == intake_.end() ||
+        !std::binary_search(open->second.begin(), open->second.end(), ctx)) {
+      return;
+    }
   }
   Tracer& tracer = transport_.tracer();
   const SimTime now = transport_.simulator().now();
-  auto& store = stores_[my_machine.value()];
-  auto it = store.find(ctx);
-  if (it != store.end() && epoch <= it->second.epoch) {
+  auto [it, fresh] = stores_[my_machine.value()].try_emplace(ctx);
+  if (!fresh && epoch <= it->second.epoch) {
     // Apply-if-newer: re-deliveries and reordered pushes of an older
     // snapshot must never roll the store backwards.
     updates_stale_->inc();
     tracer.record(now, EventKind::kUpdateStale, 0, ctx.value(), epoch);
     return;
   }
-  store[ctx] = ReplicaState{epoch, std::move(push->bindings)};
+  it->second = ReplicaState{epoch, std::move(push->bindings)};
   updates_applied_->inc();
   tracer.record(now, EventKind::kUpdateApply, 0, ctx.value(), epoch);
   // A secondary's lease state (if it ever granted any) is superseded by
@@ -694,19 +698,18 @@ void NameService::handle_request(EndpointId self, const Message& message) {
       // glue rides along) — the tombstone just makes the window
       // observable and bounded.
       auto held = forwarding_.find(my_machine.value());
-      if (held != forwarding_.end()) {
-        auto slot = held->second.find(ctx);
-        if (slot != held->second.end()) {
-          if (slot->second > now) {
-            count(forwarded_);
-            const ShardId owner = homes_.shard_of(ctx);
-            tracer.record(transport_.simulator().now(), EventKind::kForwarded,
-                          corr, ctx.value(),
-                          owner == AuthorityMap::kNoShard ? 0 : owner);
-          } else {
-            held->second.erase(slot);  // lazy purge: the window closed
-          }
-        }
+      if (held != forwarding_.end() &&
+          std::any_of(held->second.begin(), held->second.end(),
+                      [&](const ForwardingWindow& w) {
+                        return w.expires > now &&
+                               std::binary_search(w.ctxs->begin(),
+                                                  w.ctxs->end(), ctx);
+                      })) {
+        count(forwarded_);
+        const ShardId owner = homes_.shard_of(ctx);
+        tracer.record(transport_.simulator().now(), EventKind::kForwarded,
+                      corr, ctx.value(),
+                      owner == AuthorityMap::kNoShard ? 0 : owner);
       }
       refer_to_primary(replicas.front(), i);
       return;

@@ -181,7 +181,8 @@ class NameService {
   /// Tombstones self-purge at `expires`.
   void install_forwarding(ShardId from_shard,
                           const std::vector<EntityId>& ctxs, SimTime expires);
-  /// Live (unexpired) tombstones held by `machine`'s server. For tests.
+  /// Distinct contexts `machine`'s server holds in unexpired tombstone
+  /// windows. For tests.
   [[nodiscard]] std::size_t forwarding_count(MachineId machine) const;
 
   /// Register per-subtree load attribution: each root in `roots` claims
@@ -279,16 +280,22 @@ class NameService {
   std::size_t lease_capacity_ = 4096;
   std::uint64_t next_lease_id_ = 1;
   std::unordered_map<MachineId, LeaseTable> leases_;
-  /// Migration intake: target machine → contexts whose pushes it may
-  /// apply despite not being a secondary (copy phase allowance).
-  std::unordered_map<MachineId, std::unordered_set<EntityId>> intake_;
-  /// Forwarding tombstones: old-owner machine → (context → expiry). A
-  /// request for a tombstoned context is counted/traced as forwarded
-  /// before the normal referral to the new owner goes out; entries are
-  /// purged lazily on hit and eagerly at their expiry tick.
-  std::unordered_map<MachineId, std::unordered_map<EntityId, SimTime>>
-      forwarding_;
-  /// Drop every tombstone whose window has closed.
+  /// Migration intake: target machine → sorted contexts whose pushes it
+  /// may apply despite not being a secondary (copy phase allowance).
+  std::unordered_map<MachineId, std::vector<EntityId>> intake_;
+  /// One cutover's forwarding window on an old-owner machine: the
+  /// contexts it moved away (sorted, shared by every replica of the old
+  /// shard) and the tick the window closes.
+  struct ForwardingWindow {
+    std::shared_ptr<const std::vector<EntityId>> ctxs;
+    SimTime expires = 0;
+  };
+  /// Forwarding tombstones: old-owner machine → its windows. A request
+  /// for a context some unexpired window holds is counted/traced as
+  /// forwarded before the normal referral to the new owner goes out;
+  /// windows are dropped at their expiry tick.
+  std::unordered_map<MachineId, std::vector<ForwardingWindow>> forwarding_;
+  /// Drop every window that has closed.
   void purge_forwarding();
   /// Per-machine load signals for the rebalance planner
   /// ("ns.server.m<id>.served" / ".wait_ticks"): how many requests this

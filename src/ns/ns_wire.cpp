@@ -1,5 +1,7 @@
 #include "ns/ns_wire.hpp"
 
+#include <string_view>
+
 namespace namecoh {
 namespace {
 
@@ -25,6 +27,12 @@ class Cursor {
     return true;
   }
   bool name(std::string* out) {
+    if (!next_is(FieldType::kName)) return false;
+    *out = payload_.name_at(at_++);
+    return true;
+  }
+  /// A view into the payload's own field: valid while the payload lives.
+  bool name(std::string_view* out) {
     if (!next_is(FieldType::kName)) return false;
     *out = payload_.name_at(at_++);
     return true;
@@ -150,6 +158,7 @@ Message encode_update_push(EntityId ctx, std::uint64_t epoch,
                            std::span<const Binding> bindings) {
   Message message;
   message.type = NsWire::kUpdatePush;
+  message.payload.reserve(3 + 2 * bindings.size());
   message.payload.add_u64(ctx.value());
   message.payload.add_u64(epoch);
   message.payload.add_u64(bindings.size());
@@ -171,7 +180,7 @@ std::optional<UpdatePush> decode_update_push(const Message& message) {
   }
   push.bindings.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
-    std::string text;
+    std::string_view text;
     EntityId target;
     if (!in.name(&text) || !in.entity(&target)) return std::nullopt;
     auto name = Name::make(text);

@@ -10,7 +10,8 @@ EventId Simulator::schedule_at(SimTime at, std::function<void()> action) {
   NAMECOH_CHECK(at >= now_, "cannot schedule an event in the past");
   NAMECOH_CHECK(static_cast<bool>(action), "null event action");
   std::uint64_t id = next_id_++;
-  queue_.push(Entry{at, next_seq_++, id, std::move(action)});
+  queue_.push_back(Entry{at, next_seq_++, id, std::move(action)});
+  std::push_heap(queue_.begin(), queue_.end(), Later{});
   pending_.insert(id);
   return EventId(id);
 }
@@ -25,19 +26,22 @@ bool Simulator::cancel(EventId id) {
 }
 
 std::optional<SimTime> Simulator::next_event_time() {
-  while (!queue_.empty() && !pending_.contains(queue_.top().id)) {
-    queue_.pop();  // cancelled; discard lazily, as fire_next() would
+  while (!queue_.empty() && !pending_.contains(queue_.front().id)) {
+    // Cancelled; discard lazily, as fire_next() would.
+    std::pop_heap(queue_.begin(), queue_.end(), Later{});
+    queue_.pop_back();
   }
   if (queue_.empty()) return std::nullopt;
-  return queue_.top().at;
+  return queue_.front().at;
 }
 
 bool Simulator::fire_next() {
   NAMECOH_CHECK(!in_pure_section(),
                 "cannot fire events inside a pure-compute section");
   while (!queue_.empty()) {
-    Entry entry = queue_.top();
-    queue_.pop();
+    std::pop_heap(queue_.begin(), queue_.end(), Later{});
+    Entry entry = std::move(queue_.back());
+    queue_.pop_back();
     if (pending_.erase(entry.id) == 0) continue;  // cancelled; skip silently
     now_ = entry.at;
     ++events_processed_;
@@ -81,7 +85,7 @@ std::uint64_t Simulator::run_while(const std::function<bool()>& keep_going) {
 void Simulator::reset() {
   NAMECOH_CHECK(!in_pure_section(),
                 "cannot reset the simulator inside a pure-compute section");
-  queue_ = {};
+  queue_.clear();
   pending_.clear();
   now_ = 0;
   // next_id_/next_seq_ keep increasing so stale EventIds never alias.

@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <queue>
 #include <unordered_set>
 #include <vector>
 
@@ -100,7 +99,10 @@ class Simulator {
 
   bool fire_next();
 
-  std::priority_queue<Entry, std::vector<Entry>, Later> queue_;
+  /// Min-heap on (at, seq) under std::push_heap/pop_heap with Later; a
+  /// plain vector so fire_next can move the head out instead of copying
+  /// its action.
+  std::vector<Entry> queue_;
   std::unordered_set<std::uint64_t> pending_;  // ids not yet fired/cancelled
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;

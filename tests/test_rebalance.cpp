@@ -204,6 +204,75 @@ TEST_F(MigrationTest, ForwardingWindowExpires) {
   EXPECT_EQ(server_counter("forwarded"), forwarded_before);
 }
 
+TEST_F(MigrationTest, OverlappingCutoversForwardUntilTheLaterExpiry) {
+  // Two clients learn the route to x_ on s1 (mb) before the cutover; each
+  // later hits mb once through that stale route.
+  ResolverClientConfig cfg;
+  cfg.shard_routing = true;
+  ResolverClient early(graph_, net_, transport_, sim_, service_, mclient_,
+                       "early", cfg);
+  ResolverClient late(graph_, net_, transport_, sim_, service_, mclient_,
+                      "late", cfg);
+  ASSERT_TRUE(early.resolve(root_, CompoundName::relative("c0/f")).is_ok());
+  ASSERT_TRUE(late.resolve(root_, CompoundName::relative("c0/f")).is_ok());
+
+  // Two cutovers off mb whose context lists overlap in x_ and its first
+  // child: the first window closes at t+1000, the second at t+3000.
+  const std::vector<EntityId> subtree = homes_.shard_subtree(graph_, x_);
+  ASSERT_EQ(subtree.size(), 7u);
+  ASSERT_TRUE(homes_.migrate_subtree(graph_, x_, s2_).is_ok());
+  const std::vector<EntityId> second{subtree[1], subtree[0]};
+  const SimTime t = sim_.now();
+  service_.install_forwarding(s1_, subtree, t + 1000);
+  service_.install_forwarding(s1_, second, t + 3000);
+  // Each context counts once, however many windows hold it.
+  EXPECT_EQ(service_.forwarding_count(mb_), 7u);
+
+  // Past the first expiry only the second window's contexts remain, and a
+  // stale request for x_ is still forwarded.
+  sim_.run_until(t + 1500);
+  EXPECT_EQ(service_.forwarding_count(mb_), 2u);
+  const std::uint64_t forwarded_before = server_counter("forwarded");
+  Result<EntityId> hit = early.resolve(x_, CompoundName::relative("f"));
+  ASSERT_TRUE(hit.is_ok());
+  EXPECT_EQ(hit.value(), leaf_);
+  EXPECT_EQ(server_counter("forwarded"), forwarded_before + 1);
+
+  // Past the later expiry nothing is forwarded any more.
+  sim_.run_until(t + 3500);
+  EXPECT_EQ(service_.forwarding_count(mb_), 0u);
+  Result<EntityId> miss = late.resolve(x_, CompoundName::relative("f"));
+  ASSERT_TRUE(miss.is_ok());
+  EXPECT_EQ(miss.value(), leaf_);
+  EXPECT_EQ(server_counter("forwarded"), forwarded_before + 1);
+}
+
+TEST_F(MigrationTest, IntakeListsMergeAndCloseClearsThem) {
+  // mc is no replica of s1's subtree, so it applies a pushed snapshot
+  // only while an intake lists that context.
+  const std::vector<EntityId> subtree = homes_.shard_subtree(graph_, x_);
+  ASSERT_EQ(subtree.size(), 7u);
+  service_.open_migration_intake(mc_, {subtree[2], subtree[0]});
+  service_.open_migration_intake(mc_, {subtree[1], subtree[0]});
+  for (std::size_t i = 0; i < 4; ++i) {
+    ASSERT_TRUE(service_.push_snapshot(subtree[i], mc_));
+  }
+  sim_.run();
+  // Both opens count; subtree[3] was never listed.
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_TRUE(service_.replica_epoch(mc_, subtree[i]).has_value()) << i;
+  }
+  EXPECT_FALSE(service_.replica_epoch(mc_, subtree[3]).has_value());
+
+  // After the close, even a context both opens listed is a stray.
+  service_.close_migration_intake(mc_);
+  ASSERT_TRUE(graph_.bind(x_, Name("late"), leaf_).is_ok());
+  const std::uint64_t stored = *service_.replica_epoch(mc_, x_);
+  ASSERT_TRUE(service_.push_snapshot(x_, mc_));
+  sim_.run();
+  EXPECT_EQ(service_.replica_epoch(mc_, x_), stored);
+}
+
 TEST_F(MigrationTest, AbortsCleanlyOnPartitionedTarget) {
   // Snapshots originate at the subtree's primary (mb). With mb -> mc cut,
   // no copy ever lands and the driver must give up after its catch-up

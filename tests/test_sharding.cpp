@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <unordered_map>
 #include <vector>
 
@@ -98,6 +99,66 @@ TEST_F(DelegationTest, HashDelegationPlacesEveryChildByRing) {
   EXPECT_TRUE(homes_.delegate_children_by_hash(graph_, root_, ring).is_ok());
 }
 
+/// shard_subtree's contract spelled out the plain way: breadth-first over
+/// tree edges from `root`, skipping `.`/`..`, staying on root's shard,
+/// each context listed where the walk first meets it.
+std::vector<EntityId> reference_subtree(const NamingGraph& graph,
+                                        const AuthorityMap& homes,
+                                        EntityId root) {
+  const ShardId owner = homes.shard_of(root);
+  if (owner == AuthorityMap::kNoShard || !graph.is_context_object(root)) {
+    return {};
+  }
+  std::vector<EntityId> out{root};
+  std::deque<EntityId> frontier{root};
+  while (!frontier.empty()) {
+    const EntityId ctx = frontier.front();
+    frontier.pop_front();
+    for (const auto& [name, target] : graph.context(ctx).bindings()) {
+      if (name.is_cwd() || name.is_parent()) continue;
+      if (!graph.is_context_object(target)) continue;
+      if (homes.shard_of(target) != owner) continue;
+      if (std::find(out.begin(), out.end(), target) != out.end()) continue;
+      out.push_back(target);
+      frontier.push_back(target);
+    }
+  }
+  return out;
+}
+
+TEST(ShardSubtreeTest, ContextOnTwoTreeEdgesIsListedOnceInBfsOrder) {
+  // root -> {a, b}; a -> {p, s}; b -> {q, s}: `s` is reachable by two
+  // tree edges and must appear once, where breadth-first order first
+  // meets it.
+  NamingGraph graph;
+  Internetwork net;
+  const MachineId m = net.add_machine(net.add_network("lan"), "m");
+  const EntityId root = graph.add_context_object("root");
+  const EntityId a = graph.add_context_object("a");
+  const EntityId b = graph.add_context_object("b");
+  const EntityId p = graph.add_context_object("p");
+  const EntityId q = graph.add_context_object("q");
+  const EntityId s = graph.add_context_object("s");
+  ASSERT_TRUE(graph.bind(root, Name("a"), a).is_ok());
+  ASSERT_TRUE(graph.bind(root, Name("b"), b).is_ok());
+  ASSERT_TRUE(graph.bind(a, Name("p"), p).is_ok());
+  ASSERT_TRUE(graph.bind(a, Name("s"), s).is_ok());
+  ASSERT_TRUE(graph.bind(b, Name("q"), q).is_ok());
+  ASSERT_TRUE(graph.bind(b, Name("s"), s).is_ok());
+  AuthorityMap homes;
+  ASSERT_TRUE(
+      homes.install_delegation(graph, root, homes.add_shard({m})).is_ok());
+
+  const std::vector<EntityId> whole = homes.shard_subtree(graph, root);
+  EXPECT_EQ(whole, (std::vector<EntityId>{root, a, b, p, s, q}));
+  EXPECT_EQ(whole, reference_subtree(graph, homes, root));
+  // A smaller walk in between leaves nothing behind for the next one.
+  const std::vector<EntityId> under_b = homes.shard_subtree(graph, b);
+  EXPECT_EQ(under_b.size(), 3u);
+  EXPECT_EQ(under_b, reference_subtree(graph, homes, b));
+  EXPECT_EQ(homes.shard_subtree(graph, root), whole);
+}
+
 // --- Ownership is a partition (randomized) ----------------------------------
 
 /// Every context's shard, indexed by position in `ctxs`.
@@ -124,9 +185,12 @@ void expect_partition(const NamingGraph& graph, const AuthorityMap& homes,
                            expected.end()))
         << "context " << ctx.value();
     if (replicas.size() >= 2) replicated.push_back(ctx);
-    for (EntityId member : homes.shard_subtree(graph, ctx)) {
+    const std::vector<EntityId> subtree = homes.shard_subtree(graph, ctx);
+    for (EntityId member : subtree) {
       ASSERT_EQ(homes.shard_of(member), shard);
     }
+    ASSERT_EQ(subtree, reference_subtree(graph, homes, ctx))
+        << "context " << ctx.value();
   }
   EXPECT_EQ(homes.replicated_contexts(), replicated);
 }

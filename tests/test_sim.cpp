@@ -205,6 +205,41 @@ TEST(Simulator, RunWhileStopsOnEmptyQueueEvenIfPredicateHolds) {
   EXPECT_EQ(fired, 1);
 }
 
+/// An event action that counts its own copies.
+struct CopyCountingAction {
+  int* copies;
+  int* fired;
+  CopyCountingAction(int* c, int* f) : copies(c), fired(f) {}
+  CopyCountingAction(const CopyCountingAction& other)
+      : copies(other.copies), fired(other.fired) {
+    ++*copies;
+  }
+  CopyCountingAction& operator=(const CopyCountingAction&) = delete;
+  void operator()() const { ++*fired; }
+};
+
+TEST(Simulator, FiringMovesTheActionInsteadOfCopyingIt) {
+  // The queue reorders around the counted action (earlier, later and
+  // same-tick events, one scheduled from inside the run), and firing it
+  // must still copy it zero times after schedule_at returned.
+  Simulator sim;
+  int copies = 0;
+  int fired = 0;
+  std::vector<int> order;
+  sim.schedule_at(30, [&] { order.push_back(3); });
+  sim.schedule_at(20, CopyCountingAction(&copies, &fired));
+  sim.schedule_at(10, [&] {
+    order.push_back(1);
+    sim.schedule_at(20, [&] { order.push_back(2); });
+  });
+  sim.schedule_at(5, [&] { order.push_back(0); });
+  const int copies_when_scheduled = copies;
+  EXPECT_EQ(sim.run(), 5u);
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(copies, copies_when_scheduled);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+}
+
 // Property: N events at random distinct times fire in sorted order.
 class SimOrdering : public ::testing::TestWithParam<int> {};
 

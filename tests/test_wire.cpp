@@ -181,6 +181,21 @@ TEST(Payload, DecodeRejectsTrailingBytes) {
   EXPECT_FALSE(Payload::decode(bytes).is_ok());
 }
 
+TEST(Payload, DecodeRejectsForgedFieldCountWithoutReservingIt) {
+  // A count of 2^50 fields followed by two real ones. Reserving the count
+  // would ask for petabytes and throw; decode bounds the reserve by the
+  // bytes left and refuses the payload as truncated instead.
+  std::vector<std::uint8_t> buf;
+  put_varint(buf, std::uint64_t{1} << 50);
+  buf.push_back(static_cast<std::uint8_t>(FieldType::kU64));
+  put_varint(buf, 7);
+  buf.push_back(static_cast<std::uint8_t>(FieldType::kString));
+  put_bytes(buf, "x");
+  Result<Payload> decoded = Payload::decode(buf);
+  ASSERT_FALSE(decoded.is_ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+}
+
 // Property sweep: random payloads round-trip bit-exactly.
 class PayloadRoundTrip : public ::testing::TestWithParam<int> {};
 
