@@ -2,6 +2,8 @@
 // pid remapping at boundaries, wire encode/decode, end-to-end delivery by
 // locality. Prints a remap-overhead table (the R(sender) rule's price per
 // message), then microbenchmarks.
+#include <functional>
+
 #include "bench_common.hpp"
 #include "net/transport.hpp"
 
@@ -142,6 +144,34 @@ void BM_EventSchedulingThroughput(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_EventSchedulingThroughput);
+
+void BM_EventQueueCancelledTimeouts(benchmark::State& state) {
+  // The resolver engine's queue traffic: N lookups each keep one short
+  // event live (the next message of the exchange), and every one that
+  // fires cancels the lookup's 500,000-tick timeout and arms a new one.
+  // One iteration fires one event.
+  const auto lookups = static_cast<std::size_t>(state.range(0));
+  Simulator sim;
+  std::vector<EventId> timeouts(lookups);
+  std::uint64_t x = 88172645463325252ULL;
+  std::function<void(std::size_t)> step = [&](std::size_t i) {
+    sim.cancel(timeouts[i]);
+    timeouts[i] = sim.schedule_in(500'000, [] {});
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    sim.schedule_in(1'000 + x % 6'000, [&step, i] { step(i); });
+  };
+  for (std::size_t i = 0; i < lookups; ++i) {
+    sim.schedule_in(1 + i, [&step, i] { step(i); });
+  }
+  // Past one timeout span, so a queue that keeps cancelled entries until
+  // their deadline is measured at its steady size.
+  sim.run_until(600'000);
+  for (auto _ : state) benchmark::DoNotOptimize(sim.run(1));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_EventQueueCancelledTimeouts)->Arg(1024)->Arg(2048);
 
 }  // namespace
 }  // namespace namecoh

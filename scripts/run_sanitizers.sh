@@ -43,6 +43,13 @@ ctest --test-dir "$BUILD" --output-on-failure -j "$(nproc)"
 # foreground traffic through one interleaved run.
 "$BUILD/bench/bench_x8_rebalance" --scale small > /dev/null
 
+# Event-queue smoke under the sanitized build: the simulator recycles its
+# slots through a free list while timeouts are cancelled out of the middle
+# of the heap, the churn where a use-after-free would hide. The queue's
+# edge cases ride in test_sim above; this drives it at the resolver's
+# cancel rate.
+"$BUILD/bench/bench_net_messaging" --benchmark_filter='BM_Event' > /dev/null
+
 # Churn smoke under the sanitized build, at the reduced default scale:
 # rolling restarts (graceful leave → down → rejoin), rolling renumbering
 # with rename tombstones, a partition window, and the client's

@@ -326,7 +326,8 @@ void NameService::remove_server(MachineId machine) {
   auto it = servers_.find(machine);
   if (it == servers_.end()) return;
   transport_.clear_handler(it->second);
-  net_.remove_endpoint(it->second);
+  // not_found only means the endpoint is already gone, as wanted here.
+  (void)net_.remove_endpoint(it->second);
   servers_.erase(it);
   // The departed server can honor no promise and answer no straggler:
   // its lease table and forwarding tombstones go with it. busy_until_ is

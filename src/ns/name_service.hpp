@@ -533,7 +533,7 @@ class ResolverClient {
     std::uint64_t lease_id = 0;
     SimTime lease_expires = 0;     ///< server's promise ends here
     SimDuration lease_duration = 0;  ///< granted term (for renew margin)
-    std::list<CacheKey>::iterator lru;  ///< position in lru_
+    std::list<CacheKey>::iterator lru{};  ///< position in lru_
   };
 
   /// One server a hop may talk to: its pid in this client's context, plus

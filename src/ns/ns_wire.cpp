@@ -82,6 +82,7 @@ Message encode_resolve_request(const ResolveRequest& request) {
   Message message;
   message.type = NsWire::kResolveRequest;
   message.trace_corr = request.corr;
+  message.payload.reserve(4);
   message.payload.add_u64(request.corr);
   message.payload.add_u64(request.start.value());
   message.payload.add_name(request.path);
@@ -105,6 +106,10 @@ Message encode_resolve_reply(const ResolveReply& reply) {
   message.type = NsWire::kResolveReply;
   message.trace_corr = reply.corr;
   Payload& out = message.payload;
+  // 8 head fields with the replica count, 2 per replica, the lease pair,
+  // then the shard count and, on a referral, the shard.
+  out.reserve(11 + 2 * reply.replicas.size() +
+              (reply.shard == NsWire::kNoShard ? 0 : 1));
   out.add_u64(reply.corr);
   out.add_u64(reply.disposition);
   out.add_u64(reply.entity.value());

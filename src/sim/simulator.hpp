@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <unordered_set>
 #include <vector>
 
 #include "util/ids.hpp"
@@ -24,7 +23,10 @@ namespace namecoh {
 using SimTime = std::uint64_t;
 using SimDuration = std::uint64_t;
 
-/// Handle for cancelling a scheduled event.
+/// Handle for cancelling a scheduled event: the queue slot in the low 32
+/// bits, that slot's generation in the high 32. A slot's generation moves on
+/// every time it is freed (fired, cancelled or dropped by reset()), so an id
+/// never cancels a later occupant of its slot.
 struct EventTag {};
 using EventId = StrongId<EventTag>;
 
@@ -38,21 +40,22 @@ class Simulator {
   [[nodiscard]] std::uint64_t events_processed() const {
     return events_processed_;
   }
-  [[nodiscard]] std::size_t pending() const { return pending_.size(); }
+  [[nodiscard]] std::size_t pending() const { return heap_.size(); }
 
   /// Timestamp of the earliest pending event, or nullopt when the queue is
   /// empty. Lets callers wait with a deadline ("run events up to t, no
-  /// further") without firing anything. Non-const: prunes cancelled entries
-  /// lingering at the head of the queue.
-  [[nodiscard]] std::optional<SimTime> next_event_time();
+  /// further") without firing anything. The queue holds only live events,
+  /// so its head is always the event fire_next() runs next.
+  [[nodiscard]] std::optional<SimTime> next_event_time() const;
 
   /// Schedule `action` to run at absolute time `at` (>= now).
   EventId schedule_at(SimTime at, std::function<void()> action);
   /// Schedule `action` to run `delay` ticks from now.
   EventId schedule_in(SimDuration delay, std::function<void()> action);
 
-  /// Cancel a pending event; returns false if it already ran or was
-  /// already cancelled.
+  /// Cancel a pending event and drop it from the queue at once, O(log n);
+  /// returns false if it already ran, was already cancelled or predates
+  /// reset().
   bool cancel(EventId id);
 
   /// Run until the queue is empty or `max_events` have fired.
@@ -84,29 +87,41 @@ class Simulator {
 
  private:
   friend class PureComputeSection;
-  struct Entry {
-    SimTime at;
-    std::uint64_t seq;
-    std::uint64_t id;
+  /// One queued event. Slots are reused through free_; heap_pos is the
+  /// slot's index in heap_ while it is queued, so cancel() can remove it
+  /// without searching.
+  struct Slot {
+    SimTime at = 0;
+    std::uint64_t seq = 0;
+    std::uint32_t generation = 0;
+    std::uint32_t heap_pos = 0;
     std::function<void()> action;
   };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.seq > b.seq;
-    }
-  };
 
+  /// Strict (at, seq) order: equal timestamps fire in scheduling order.
+  [[nodiscard]] bool before(std::uint32_t a, std::uint32_t b) const {
+    const Slot& x = slots_[a];
+    const Slot& y = slots_[b];
+    return x.at != y.at ? x.at < y.at : x.seq < y.seq;
+  }
+  void place(std::uint32_t pos, std::uint32_t slot) {
+    heap_[pos] = slot;
+    slots_[slot].heap_pos = pos;
+  }
+  void sift_up(std::uint32_t pos);
+  void sift_down(std::uint32_t pos);
+  /// Take `slot` out of the heap and the live set: its generation moves on
+  /// and it joins the free list. Returns its action for the caller to run
+  /// or destroy once the queue is consistent again.
+  std::function<void()> remove(std::uint32_t slot);
   bool fire_next();
 
-  /// Min-heap on (at, seq) under std::push_heap/pop_heap with Later; a
-  /// plain vector so fire_next can move the head out instead of copying
-  /// its action.
-  std::vector<Entry> queue_;
-  std::unordered_set<std::uint64_t> pending_;  // ids not yet fired/cancelled
+  std::vector<Slot> slots_;
+  /// Min-heap of slot indices on (at, seq); holds exactly the live events.
+  std::vector<std::uint32_t> heap_;
+  std::vector<std::uint32_t> free_;  // freed slots, reused last-in first-out
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
-  std::uint64_t next_id_ = 0;
   std::uint64_t events_processed_ = 0;
   int pure_depth_ = 0;
 };
