@@ -416,6 +416,63 @@ void BM_SnapshotPushApply(benchmark::State& state) {
 }
 BENCHMARK(BM_SnapshotPushApply);
 
+void BM_ReplicaEpochProbe(benchmark::State& state) {
+  // A catch-up check's probes: replica_epoch for every context of a
+  // subtree, in shard_subtree order, on each of three secondaries. The
+  // subtree's N contexts are spread across a 2^20-entity graph (data
+  // objects between them), so the stores are as sparse and as far out of
+  // cache as a full-scale run's. Setup pushes every context to every
+  // secondary once.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  constexpr std::size_t kEntities = std::size_t{1} << 20;
+  NamingGraph graph;
+  graph.reserve(kEntities);
+  const EntityId root = graph.add_context_object("root");
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t pad = 1; pad < kEntities / n; ++pad) {
+      (void)graph.add_data_object("");
+    }
+    const EntityId ctx = graph.add_context_object("c");
+    NAMECOH_CHECK(graph.bind(root, Name("c" + std::to_string(i)), ctx).is_ok(),
+                  "bench bind failed");
+  }
+  Internetwork net;
+  Simulator sim;
+  Transport transport(sim, net);
+  NetworkId lan = net.add_network("lan");
+  std::vector<MachineId> machines;
+  for (int i = 0; i < 4; ++i) {
+    machines.push_back(net.add_machine(lan, "m" + std::to_string(i)));
+  }
+  AuthorityMap homes;
+  NAMECOH_CHECK(
+      homes.install_delegation(graph, root, homes.add_shard(machines)).is_ok(),
+      "bench delegation failed");
+  NameService service(graph, net, transport, homes);
+  for (MachineId m : machines) service.add_server(m);
+  const std::vector<EntityId> subtree = homes.shard_subtree(graph, root);
+  for (EntityId ctx : subtree) service.publish_update(ctx);
+  sim.run();
+  const std::vector<MachineId> secondaries(machines.begin() + 1,
+                                           machines.end());
+  for (EntityId ctx : subtree) {
+    for (MachineId m : secondaries) {
+      NAMECOH_CHECK(service.replica_epoch(m, ctx).has_value(),
+                    "a secondary missed its snapshot");
+    }
+  }
+  for (auto _ : state) {
+    for (EntityId ctx : subtree) {
+      for (MachineId m : secondaries) {
+        benchmark::DoNotOptimize(service.replica_epoch(m, ctx));
+      }
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(
+      state.iterations() * subtree.size() * secondaries.size()));
+}
+BENCHMARK(BM_ReplicaEpochProbe)->Arg(4096)->Arg(65536);
+
 void BM_PlannerPropose(benchmark::State& state) {
   // One planner consult: read 4 shards' load counters, rank 8 candidates.
   NamingGraph graph;

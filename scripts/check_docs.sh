@@ -7,7 +7,10 @@
 #      and external URLs are skipped;
 #   2. textual file references like docs/PROTOCOLS.md, DESIGN.md,
 #      src/ns/name_service.*, tests/test_failover.cpp, scripts/foo.sh —
-#      the named path must exist (a trailing .* matches any extension).
+#      the named path must exist (a trailing .* matches any extension);
+#   3. the trace-event taxonomy — every EventKind enumerator in
+#      src/obs/tracer.hpp except the kKindCount sentinel must appear, in
+#      backticks, in docs/OBSERVABILITY.md.
 #
 # Exits non-zero listing every dangling reference. Wired into
 # scripts/run_sanitizers.sh so the doc tree is checked on every
@@ -90,8 +93,21 @@ for doc in "${docs[@]}"; do
              | sed 's/[.,;:)]*$//' | sort -u)
 done
 
+# 3. Every trace event kind is documented.
+mapfile -t kinds < <(sed -n '/^enum class EventKind/,/^};/p' src/obs/tracer.hpp \
+                       | grep -oP '^\s*\Kk[A-Za-z0-9]+(?=\s*(=[^,]*)?,?\s*(//.*)?$)' \
+                       | grep -vx kKindCount)
+if [[ "${#kinds[@]}" -eq 0 ]]; then
+  fail src/obs/tracer.hpp "no EventKind enumerators found"
+fi
+for kind in "${kinds[@]}"; do
+  grep -qF "\`$kind\`" docs/OBSERVABILITY.md ||
+    fail docs/OBSERVABILITY.md "EventKind::$kind undocumented"
+done
+
 if [[ "$failures" -gt 0 ]]; then
   echo "check_docs: $failures dangling reference(s)" >&2
   exit 1
 fi
-echo "check_docs: OK (${#docs[@]} markdown files, no dangling references)"
+echo "check_docs: OK (${#docs[@]} markdown files, no dangling references," \
+     "${#kinds[@]} event kinds documented)"

@@ -464,11 +464,38 @@ void NameService::maybe_clean(EntityId ctx) {
 
 std::optional<std::uint64_t> NameService::replica_epoch(MachineId machine,
                                                         EntityId ctx) const {
-  auto store = stores_.find(machine);
-  if (store == stores_.end()) return std::nullopt;
-  auto it = store->second.find(ctx);
-  if (it == store->second.end()) return std::nullopt;
-  return it->second.epoch;
+  const ReplicaState* state = find(machine, ctx);
+  if (state == nullptr) return std::nullopt;
+  return state->epoch;
+}
+
+const NameService::ReplicaState* NameService::find(MachineId machine,
+                                                   EntityId ctx) const {
+  if (ctx.value() >= store_head_.size()) return nullptr;
+  for (std::uint32_t i = store_head_[ctx.value()]; i != kNoEntry;
+       i = store_entries_[i].next) {
+    if (store_entries_[i].machine == machine) return &store_entries_[i].state;
+  }
+  return nullptr;
+}
+
+std::pair<NameService::ReplicaState*, bool> NameService::find_or_add(
+    MachineId machine, EntityId ctx) {
+  if (ctx.value() >= store_head_.size()) {
+    store_head_.resize(std::max<std::size_t>(graph_.entity_count(),
+                                             ctx.value() + 1),
+                       kNoEntry);
+  }
+  std::uint32_t& head = store_head_[ctx.value()];
+  for (std::uint32_t i = head; i != kNoEntry; i = store_entries_[i].next) {
+    if (store_entries_[i].machine == machine) {
+      return {&store_entries_[i].state, false};
+    }
+  }
+  NAMECOH_CHECK(store_entries_.size() < kNoEntry, "replica table is full");
+  store_entries_.push_back(ReplicaEntry{machine, head, ReplicaState{}});
+  head = static_cast<std::uint32_t>(store_entries_.size() - 1);
+  return {&store_entries_.back().state, true};
 }
 
 bool NameService::note_duplicate(std::uint64_t corr) {
@@ -504,15 +531,15 @@ void NameService::handle_update(EndpointId self, const Message& message) {
   }
   Tracer& tracer = transport_.tracer();
   const SimTime now = transport_.simulator().now();
-  auto [it, fresh] = stores_[my_machine.value()].try_emplace(ctx);
-  if (!fresh && epoch <= it->second.epoch) {
+  auto [state, fresh] = find_or_add(my_machine.value(), ctx);
+  if (!fresh && epoch <= state->epoch) {
     // Apply-if-newer: re-deliveries and reordered pushes of an older
     // snapshot must never roll the store backwards.
     updates_stale_->inc();
     tracer.record(now, EventKind::kUpdateStale, 0, ctx.value(), epoch);
     return;
   }
-  it->second = ReplicaState{epoch, std::move(push->bindings)};
+  *state = ReplicaState{epoch, std::move(push->bindings)};
   updates_applied_->inc();
   tracer.record(now, EventKind::kUpdateApply, 0, ctx.value(), epoch);
   // A secondary's lease state (if it ever granted any) is superseded by
@@ -720,12 +747,7 @@ void NameService::handle_request(EndpointId self, const Message& message) {
     if (homes_.is_primary(ctx, my_machine.value())) {
       next = graph_.lookup(ctx, components[i]);
     } else {
-      const ReplicaState* state = nullptr;
-      auto sit = stores_.find(my_machine.value());
-      if (sit != stores_.end()) {
-        auto cit = sit->second.find(ctx);
-        if (cit != sit->second.end()) state = &cit->second;
-      }
+      const ReplicaState* state = find(my_machine.value(), ctx);
       if (state == nullptr) {
         // Never synced: answering from nothing would turn "no snapshot
         // yet" into a spurious NOT_FOUND. Refer to the primary instead.
@@ -733,14 +755,14 @@ void NameService::handle_request(EndpointId self, const Message& message) {
         return;
       }
       store_epoch = state->epoch;
-      next = not_found_error("NOT_FOUND: no binding for '" +
-                             components[i].text() + "'");
-      for (const Binding& b : state->bindings) {
-        if (b.name == components[i]) {
-          next = b.entity;
-          break;
-        }
-      }
+      auto hit = std::find_if(
+          state->bindings.begin(), state->bindings.end(),
+          [&](const Binding& b) { return b.name == components[i]; });
+      // The error text crosses the wire; build it only on a miss.
+      next = hit != state->bindings.end()
+                 ? Result<EntityId>(hit->entity)
+                 : not_found_error("NOT_FOUND: no binding for '" +
+                                   components[i].text() + "'");
     }
     if (!next.is_ok()) {
       if (store_epoch) {

@@ -199,6 +199,14 @@ class NameService {
     std::uint64_t epoch = 0;
     std::vector<Binding> bindings;
   };
+  /// One machine's applied snapshot of one context: a link in that
+  /// context's chain of the replica table (see store_head_).
+  struct ReplicaEntry {
+    MachineId machine;
+    std::uint32_t next;  ///< next entry for the same context, or kNoEntry
+    ReplicaState state;
+  };
+  static constexpr std::uint32_t kNoEntry = 0xffffffffU;
 
   /// One callback promise: "holder may trust answers about `ctx` until
   /// `expires`; I will push kInvalidate if `ctx` rebinds before then."
@@ -218,6 +226,13 @@ class NameService {
 
   void handle_request(EndpointId self, const Message& message);
   void handle_update(EndpointId self, const Message& message);
+  /// `machine`'s applied snapshot of `ctx`; nullptr when it never applied
+  /// one.
+  [[nodiscard]] const ReplicaState* find(MachineId machine,
+                                         EntityId ctx) const;
+  /// `machine`'s snapshot of `ctx`, adding an empty one (epoch 0, no
+  /// bindings) when there is none; `second` is true when it was added.
+  std::pair<ReplicaState*, bool> find_or_add(MachineId machine, EntityId ctx);
   /// Record `corr` in the bounded recently-seen window; true if it was
   /// already there (i.e. this request is a retransmission).
   bool note_duplicate(std::uint64_t corr);
@@ -254,10 +269,12 @@ class NameService {
   Transport& transport_;
   const AuthorityMap& homes_;
   std::unordered_map<MachineId, EndpointId> servers_;
-  /// Per-machine replica stores: what each *secondary* has applied.
-  std::unordered_map<MachineId,
-                     std::unordered_map<EntityId, ReplicaState>>
-      stores_;
+  /// The replica table: what each *secondary* (or migration target) has
+  /// applied. store_head_[ctx] indexes the first entry of ctx's chain in
+  /// store_entries_ (kNoEntry = no machine holds a snapshot); entries
+  /// are never erased. A deque, so the table grows without copying.
+  std::vector<std::uint32_t> store_head_;
+  std::deque<ReplicaEntry> store_entries_;
   std::unordered_set<std::uint64_t> recent_corr_;
   std::deque<std::uint64_t> recent_corr_order_;  // FIFO eviction
   SimDuration anti_entropy_interval_ = 0;  ///< 0 = not running

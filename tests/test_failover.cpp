@@ -2,10 +2,17 @@
 // epoch-stamped update propagation to secondaries, client failover with
 // per-replica health, deterministic fault schedules, and the interaction
 // between stale secondary answers and the client's epoch-invalidated
-// cache (docs/REPLICATION.md).
+// cache, and a seeded differential check of the replica table against a
+// reference model (docs/REPLICATION.md).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <optional>
+#include <random>
+#include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "fs/file_system.hpp"
@@ -400,6 +407,345 @@ TEST_F(FailoverTest, FaultTransitionsAreCountedAndTraced) {
   EXPECT_EQ(faults_.crashed_count(), 0u);
   EXPECT_EQ(faults_.partition_count(), 0u);
 }
+
+// --- Replica table: differential check against a reference model -----------
+
+// Rounds of random rebinds, publish_update and push_snapshot calls and raw
+// kUpdatePush deliveries (stale snapshots, duplicates, all reordered by a
+// reorder window) over five machines and 72 contexts, with remove_server /
+// add_server cycles between rounds and contexts added after the first
+// applies. After every drain, replica_epoch must match a std::map model of
+// strict apply-if-newer, and every secondary must answer from exactly the
+// snapshot the model says it holds.
+class ReplicaStoreDifferential : public ::testing::TestWithParam<int> {
+ protected:
+  static constexpr std::size_t kMachines = 5;  // m4: migration intake only
+
+  struct Push {
+    std::size_t to;  ///< machine index
+    EntityId ctx;
+    std::uint64_t epoch;
+  };
+  struct Expected {
+    EntityId ctx;
+    std::uint64_t disposition;
+    EntityId entity;
+    std::string error;
+    std::uint64_t epoch;
+  };
+
+  ReplicaStoreDifferential()
+      : transport_(sim_, net_), faults_(sim_),
+        service_(graph_, net_, transport_, homes_) {
+    transport_.attach_faults(&faults_);
+    NetworkId lan = net_.add_network("lan");
+    for (std::size_t i = 0; i < kMachines; ++i) {
+      machines_.push_back(net_.add_machine(lan, "m" + std::to_string(i)));
+      service_.add_server(machines_.back());
+    }
+    up_.assign(kMachines, true);
+    probe_ = net_.add_endpoint(net_.add_machine(lan, "probe"), "probe");
+    transport_.set_handler(probe_, [this](EndpointId, const Message& m) {
+      if (m.type == NsWire::kResolveReply) replies_.push_back(m);
+    });
+    // Four 3-replica shards rotating over m0..m3.
+    for (std::size_t s = 0; s < 4; ++s) {
+      shards_.push_back(homes_.add_shard(
+          {machines_[s], machines_[(s + 1) % 4], machines_[(s + 2) % 4]}));
+    }
+  }
+
+  std::uint64_t draw(std::uint64_t bound) { return rng_() % bound; }
+
+  /// `n` more contexts, interleaved with data objects so context ids are
+  /// not contiguous; every third one is also in m4's migration intake.
+  void add_contexts(std::size_t n) {
+    std::vector<EntityId> intake;
+    for (std::size_t k = 0; k < n; ++k) {
+      for (std::uint64_t pad = draw(3); pad > 0; --pad) {
+        (void)graph_.add_data_object("pad");
+      }
+      const EntityId ctx =
+          graph_.add_context_object("c" + std::to_string(ctxs_.size()));
+      // Some start empty, at epoch 0: an applied epoch-0 snapshot must
+      // still read as applied.
+      for (std::uint64_t j = draw(3); j > 0; --j) rebind(ctx);
+      ASSERT_TRUE(homes_
+                      .install_delegation(graph_, ctx,
+                                          shards_[ctxs_.size() % 4])
+                      .is_ok());
+      if (ctxs_.size() % 3 == 0) {
+        intake.push_back(ctx);
+        intake_.push_back(ctx);
+      }
+      ctxs_.push_back(ctx);
+    }
+    service_.open_migration_intake(machines_[4], intake);
+  }
+
+  /// Bind a fresh name, or unbind or retarget an existing one; each bumps
+  /// the context's rebind epoch.
+  void rebind(EntityId ctx) {
+    const auto bindings = graph_.context(ctx).bindings();
+    const std::uint64_t kind = bindings.empty() ? 0 : draw(3);
+    const EntityId target = graph_.add_data_object("d");
+    if (kind == 0) {
+      const Name fresh("n" + std::to_string(next_name_++));
+      ASSERT_TRUE(graph_.bind(ctx, fresh, target).is_ok());
+      return;
+    }
+    const Name name = bindings[draw(bindings.size())].name;
+    ASSERT_TRUE(graph_.unbind(ctx, name).is_ok());
+    if (kind == 2) {
+      ASSERT_TRUE(graph_.bind(ctx, name, target).is_ok());
+    }
+  }
+
+  /// The snapshot a push of `ctx` carries now.
+  std::uint64_t record(EntityId ctx) {
+    const std::uint64_t epoch = graph_.rebind_epoch(ctx);
+    const auto bindings = graph_.context(ctx).bindings();
+    snapshots_[{ctx, epoch}].assign(bindings.begin(), bindings.end());
+    return epoch;
+  }
+
+  std::optional<std::uint64_t> model(std::size_t i, EntityId ctx) const {
+    auto it = model_.find({i, ctx});
+    if (it == model_.end()) return std::nullopt;
+    return it->second;
+  }
+
+  bool accepts(std::size_t i, EntityId ctx) const {
+    const MachineId m = machines_[i];
+    if (homes_.is_replica(ctx, m) && !homes_.is_primary(ctx, m)) return true;
+    return i == 4 &&
+           std::find(intake_.begin(), intake_.end(), ctx) != intake_.end();
+  }
+
+  std::size_t index_of(MachineId m) const {
+    return static_cast<std::size_t>(
+        std::find(machines_.begin(), machines_.end(), m) - machines_.begin());
+  }
+
+  Pid pid_of(std::size_t i) const {
+    const EndpointId server = service_.server_on(machines_[i]).value();
+    return relativize(net_.location_of(server).value(),
+                      net_.location_of(probe_).value());
+  }
+
+  void publish(EntityId ctx) {
+    const std::uint64_t epoch = record(ctx);
+    const auto replicas = homes_.replicas_of(ctx);
+    if (up_[index_of(replicas.front())]) {
+      for (std::size_t r = 1; r < replicas.size(); ++r) {
+        const std::size_t i = index_of(replicas[r]);
+        const auto applied = model(i, ctx);
+        if (up_[i] && (!applied || *applied < epoch)) {
+          pending_.push_back(Push{i, ctx, epoch});
+        }
+      }
+    }
+    service_.publish_update(ctx);
+  }
+
+  void push_snapshot(EntityId ctx, std::size_t i) {
+    const std::uint64_t epoch = record(ctx);
+    const bool sends = up_[index_of(homes_.replicas_of(ctx).front())] && up_[i];
+    EXPECT_EQ(service_.push_snapshot(ctx, machines_[i]), sends);
+    if (sends) pending_.push_back(Push{i, ctx, epoch});
+  }
+
+  /// A recorded snapshot (often stale) straight onto the wire.
+  void push_raw(const Push& push) {
+    if (!up_[push.to]) return;
+    const auto& bindings = snapshots_.at({push.ctx, push.epoch});
+    ASSERT_TRUE(transport_
+                    .send(probe_, pid_of(push.to),
+                          encode_update_push(push.ctx, push.epoch, bindings))
+                    .is_ok());
+    pending_.push_back(push);
+  }
+
+  void run_round() {
+    const std::uint64_t ops = 40 + draw(60);
+    for (std::uint64_t op = 0; op < ops; ++op) {
+      const EntityId ctx = ctxs_[draw(ctxs_.size())];
+      const std::uint64_t pick = draw(100);
+      if (pick < 25) {
+        rebind(ctx);
+      } else if (pick < 45) {
+        publish(ctx);
+      } else if (pick < 65) {
+        push_snapshot(ctx, draw(kMachines));
+      } else if (pick < 85 && !snapshots_.empty()) {
+        auto it = snapshots_.begin();
+        std::advance(it, static_cast<std::ptrdiff_t>(draw(snapshots_.size())));
+        push_raw(Push{draw(kMachines), it->first.first, it->first.second});
+      } else if (!pending_.empty()) {
+        push_raw(pending_[draw(pending_.size())]);  // a duplicate delivery
+      }
+    }
+    sim_.run();
+    for (const Push& push : pending_) {
+      if (!accepts(push.to, push.ctx)) continue;
+      auto [it, fresh] = model_.try_emplace({push.to, push.ctx}, push.epoch);
+      if (!fresh) it->second = std::max(it->second, push.epoch);
+    }
+    pending_.clear();
+    redeliver_held();
+  }
+
+  /// Apply-if-newer is strict: a snapshot at the epoch a store already
+  /// holds is stale even when its bindings differ (here: none at all), so
+  /// it neither applies nor changes what the secondary answers.
+  void redeliver_held() {
+    const MetricsRegistry& metrics = transport_.metrics();
+    const std::uint64_t stale =
+        metrics.counter_value("ns.server.updates_stale");
+    const std::uint64_t applied =
+        metrics.counter_value("ns.server.updates_applied");
+    std::uint64_t sent = 0;
+    for (const auto& [key, epoch] : model_) {
+      if (!up_[key.first] || draw(8) != 0) continue;
+      ASSERT_TRUE(transport_
+                      .send(probe_, pid_of(key.first),
+                            encode_update_push(key.second, epoch, {}))
+                      .is_ok());
+      ++sent;
+    }
+    sim_.run();
+    EXPECT_EQ(metrics.counter_value("ns.server.updates_stale"), stale + sent);
+    EXPECT_EQ(metrics.counter_value("ns.server.updates_applied"), applied);
+  }
+
+  void check_epochs() {
+    const EntityId data = graph_.add_data_object("probe");
+    const EntityId beyond(graph_.entity_count() + 7);
+    for (std::size_t i = 0; i < kMachines; ++i) {
+      for (EntityId ctx : ctxs_) {
+        EXPECT_EQ(service_.replica_epoch(machines_[i], ctx), model(i, ctx))
+            << "machine " << i << " ctx " << ctx;
+      }
+      EXPECT_FALSE(service_.replica_epoch(machines_[i], data).has_value());
+      EXPECT_FALSE(service_.replica_epoch(machines_[i], beyond).has_value());
+    }
+  }
+
+  /// Ask every live secondary about one name in each of its contexts: a
+  /// bound name answers from the applied snapshot, an unbound one is a
+  /// NOT_FOUND stamped with the snapshot's epoch, and a context never
+  /// applied refers to the primary (an error while the primary is down).
+  void check_answers() {
+    std::map<std::uint64_t, Expected> expected;
+    for (EntityId ctx : ctxs_) {
+      const auto replicas = homes_.replicas_of(ctx);
+      for (std::size_t r = 1; r < replicas.size(); ++r) {
+        const std::size_t i = index_of(replicas[r]);
+        if (!up_[i]) continue;
+        const std::uint64_t corr = next_corr_++;
+        const auto applied = model(i, ctx);
+        Expected want{ctx, NsWire::kReferral, EntityId(), "", 0};
+        std::string path = "absent";
+        if (!applied && !up_[index_of(replicas.front())]) {
+          want = Expected{EntityId(), NsWire::kError, EntityId(),
+                          "authoritative machine has no name server", 0};
+        } else if (applied) {
+          const auto& bindings = snapshots_.at({ctx, *applied});
+          want.epoch = *applied;
+          if (!bindings.empty() && draw(2) == 0) {
+            const Binding& b = bindings[draw(bindings.size())];
+            path = b.name.text();
+            want.disposition = NsWire::kAnswer;
+            want.entity = b.entity;
+          } else {
+            want.disposition = NsWire::kError;
+            want.error = "NOT_FOUND: NOT_FOUND: no binding for 'absent'";
+          }
+        }
+        expected.emplace(corr, want);
+        ASSERT_TRUE(transport_
+                        .send(probe_, pid_of(i),
+                              encode_resolve_request(
+                                  ResolveRequest{corr, ctx, path, 0}))
+                        .is_ok());
+      }
+    }
+    sim_.run();
+    ASSERT_EQ(replies_.size(), expected.size());
+    for (const Message& message : replies_) {
+      const auto reply = decode_resolve_reply(message);
+      ASSERT_TRUE(reply.has_value());
+      auto it = expected.find(reply->corr);
+      ASSERT_NE(it, expected.end());
+      const Expected& want = it->second;
+      EXPECT_EQ(reply->disposition, want.disposition) << "ctx " << want.ctx;
+      if (want.disposition == NsWire::kReferral) continue;
+      EXPECT_EQ(reply->authority, want.ctx);
+      EXPECT_EQ(reply->epoch, want.epoch);
+      EXPECT_EQ(reply->entity, want.entity);
+      EXPECT_EQ(reply->error, want.error);
+    }
+    replies_.clear();
+  }
+
+  /// Take a random subset of servers down or back up; a store outlives
+  /// its server either way.
+  void cycle_servers() {
+    for (std::size_t i = 0; i < kMachines; ++i) {
+      if (draw(6) != 0) continue;
+      if (up_[i]) {
+        service_.remove_server(machines_[i]);
+      } else {
+        service_.add_server(machines_[i]);
+      }
+      up_[i] = !up_[i];
+    }
+  }
+
+  NamingGraph graph_;
+  Internetwork net_;
+  Simulator sim_;
+  Transport transport_;
+  FaultInjector faults_;
+  AuthorityMap homes_;
+  NameService service_;
+  std::mt19937_64 rng_;
+  std::vector<MachineId> machines_;
+  std::vector<bool> up_;
+  std::vector<ShardId> shards_;
+  EndpointId probe_;
+  std::vector<EntityId> ctxs_;
+  std::vector<EntityId> intake_;
+  std::uint64_t next_name_ = 0;
+  std::uint64_t next_corr_ = 1;
+  std::map<std::pair<EntityId, std::uint64_t>, std::vector<Binding>>
+      snapshots_;
+  std::map<std::pair<std::size_t, EntityId>, std::uint64_t> model_;
+  std::vector<Push> pending_;
+  std::vector<Message> replies_;
+};
+
+TEST_P(ReplicaStoreDifferential, MatchesReferenceModel) {
+  rng_.seed(static_cast<std::uint64_t>(GetParam()));
+  faults_.add_reorder_window(0, 1'000'000'000, 200,
+                             static_cast<std::uint64_t>(GetParam()));
+  add_contexts(64);
+  for (int round = 0; round < 16; ++round) {
+    // Contexts created after the first applies lie past the table's
+    // initial size.
+    if (round == 4) add_contexts(8);
+    run_round();
+    check_epochs();
+    check_answers();
+    cycle_servers();
+    check_epochs();
+    if (HasFailure()) return;
+  }
+  EXPECT_FALSE(model_.empty());
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ReplicaStoreDifferential,
+                         ::testing::Range(1, 31));
 
 }  // namespace
 }  // namespace namecoh

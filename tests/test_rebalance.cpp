@@ -6,6 +6,7 @@
 // planning (delegate_children_by_hash idempotence + plan_ring_change).
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -271,6 +272,27 @@ TEST_F(MigrationTest, IntakeListsMergeAndCloseClearsThem) {
   ASSERT_TRUE(service_.push_snapshot(x_, mc_));
   sim_.run();
   EXPECT_EQ(service_.replica_epoch(mc_, x_), stored);
+}
+
+TEST_F(MigrationTest, EmptyContextConvergesAtEpochZero) {
+  // A context that was never bound has rebind epoch 0. Its copy applies
+  // at epoch 0, and that must read as applied, not as "no snapshot":
+  // otherwise catch-up re-pushes it every round and aborts.
+  const EntityId empty = graph_.add_context_object("empty");
+  ASSERT_TRUE(homes_.install_delegation(graph_, empty, s1_).is_ok());
+  ASSERT_EQ(graph_.rebind_epoch(empty), 0u);
+  EXPECT_FALSE(service_.replica_epoch(mc_, empty).has_value());
+
+  ASSERT_TRUE(driver_.start(empty, s2_, fast_options()).is_ok());
+  const MigrationReport& report = driver_.run_to_completion();
+
+  EXPECT_EQ(report.phase, MigrationPhase::kDone) << report.error;
+  EXPECT_EQ(report.contexts, 1u);
+  EXPECT_EQ(report.moved, 1u);
+  EXPECT_EQ(report.catchup_rounds, 0u);
+  EXPECT_EQ(homes_.shard_of(empty), s2_);
+  EXPECT_EQ(service_.replica_epoch(mc_, empty),
+            std::optional<std::uint64_t>(0));
 }
 
 TEST_F(MigrationTest, AbortsCleanlyOnPartitionedTarget) {
