@@ -15,7 +15,7 @@
 
 #include "bench_common.hpp"
 #include "fs/file_system.hpp"
-#include "ns/name_service.hpp"
+#include "ns/resolver_client.hpp"
 #include "obs/trace_export.hpp"
 #include "obs/tracer.hpp"
 #include "util/rng.hpp"

@@ -20,7 +20,7 @@
 #include "bench_common.hpp"
 #include "coherence/coherence.hpp"
 #include "fs/file_system.hpp"
-#include "ns/name_service.hpp"
+#include "ns/resolver_client.hpp"
 #include "sim/faults.hpp"
 #include "util/rng.hpp"
 

@@ -13,7 +13,7 @@
 //     exchange, so the burst costs one chain of messages, not N.
 #include "bench_common.hpp"
 #include "fs/file_system.hpp"
-#include "ns/name_service.hpp"
+#include "ns/resolver_client.hpp"
 #include "workload/parallel.hpp"
 
 namespace namecoh {

@@ -35,7 +35,7 @@
 
 #include "bench_common.hpp"
 #include "core/graph_ops.hpp"
-#include "ns/name_service.hpp"
+#include "ns/resolver_client.hpp"
 #include "ns/shard_ring.hpp"
 #include "workload/parallel.hpp"
 #include "workload/scenario.hpp"

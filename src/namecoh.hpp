@@ -25,6 +25,7 @@
 #include "net/transport.hpp"
 #include "net/wire.hpp"
 #include "ns/name_service.hpp"
+#include "ns/resolver_client.hpp"
 #include "os/process_manager.hpp"
 #include "os/program.hpp"
 #include "os/service_registry.hpp"

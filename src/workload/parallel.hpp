@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "exec/batch.hpp"
-#include "ns/name_service.hpp"
+#include "ns/resolver_client.hpp"
 
 namespace namecoh {
 

@@ -39,7 +39,7 @@
 #include <vector>
 
 #include "ns/membership.hpp"
-#include "ns/name_service.hpp"
+#include "ns/resolver_client.hpp"
 #include "ns/shard_ring.hpp"
 #include "sim/faults.hpp"
 

@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "fs/file_system.hpp"
-#include "ns/name_service.hpp"
+#include "ns/resolver_client.hpp"
 #include "sim/faults.hpp"
 
 namespace namecoh {

@@ -12,7 +12,7 @@
 #include "core/name.hpp"
 #include "core/resolve.hpp"
 #include "fs/file_system.hpp"
-#include "ns/name_service.hpp"
+#include "ns/resolver_client.hpp"
 #include "util/small_vec.hpp"
 #include "workload/tree_gen.hpp"
 

@@ -9,7 +9,7 @@
 #include <string>
 
 #include "fs/file_system.hpp"
-#include "ns/name_service.hpp"
+#include "ns/resolver_client.hpp"
 #include "sim/faults.hpp"
 
 namespace namecoh {

@@ -14,7 +14,7 @@
 
 #include "core/graph_ops.hpp"
 #include "ns/membership.hpp"
-#include "ns/name_service.hpp"
+#include "ns/resolver_client.hpp"
 #include "workload/parallel.hpp"
 #include "workload/scenario.hpp"
 

@@ -3,7 +3,7 @@
 // resolver, and the TTL cache including its staleness incoherence.
 #include <gtest/gtest.h>
 
-#include "ns/name_service.hpp"
+#include "ns/resolver_client.hpp"
 #include "fs/file_system.hpp"
 
 namespace namecoh {

@@ -7,7 +7,7 @@
 #include <algorithm>
 
 #include "fs/file_system.hpp"
-#include "ns/name_service.hpp"
+#include "ns/resolver_client.hpp"
 #include "workload/parallel.hpp"
 
 namespace namecoh {

@@ -12,8 +12,8 @@
 #include <vector>
 
 #include "core/graph_ops.hpp"
-#include "ns/name_service.hpp"
 #include "ns/rebalance.hpp"
+#include "ns/resolver_client.hpp"
 #include "ns/shard_ring.hpp"
 #include "sim/faults.hpp"
 #include "workload/parallel.hpp"

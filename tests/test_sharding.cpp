@@ -12,7 +12,7 @@
 
 #include "core/graph_ops.hpp"
 #include "net/wire.hpp"
-#include "ns/name_service.hpp"
+#include "ns/resolver_client.hpp"
 #include "ns/shard_ring.hpp"
 #include "util/rng.hpp"
 

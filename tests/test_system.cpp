@@ -11,7 +11,7 @@
 
 #include "coherence/coherence.hpp"
 #include "fs/snapshot.hpp"
-#include "ns/name_service.hpp"
+#include "ns/resolver_client.hpp"
 #include "os/program.hpp"
 #include "os/service_registry.hpp"
 #include "schemes/shared_graph.hpp"
