@@ -34,7 +34,7 @@
 //
 // The client side of the story — route healing when a cached
 // (pid, machine) target has left or been renamed — lives in
-// ResolverClient::attach_membership (name_service.hpp).
+// ResolverClient::attach_membership (resolver_client.hpp).
 #pragma once
 
 #include <cstdint>

@@ -1,13 +1,26 @@
 #include "ns/name_service.hpp"
 
 #include <algorithm>
+#include <span>
 #include <tuple>
 #include <utility>
 
-#include "ns/membership.hpp"
-#include "util/strings.hpp"
-
 namespace namecoh {
+namespace {
+
+/// The secondary store read: what `component` is bound to in an applied
+/// snapshot.
+Result<EntityId> read_store(std::span<const Binding> bindings,
+                            const Name& component) {
+  auto hit = std::find_if(bindings.begin(), bindings.end(),
+                          [&](const Binding& b) { return b.name == component; });
+  // The error text crosses the wire; build it only on a miss.
+  if (hit != bindings.end()) return hit->entity;
+  return not_found_error("NOT_FOUND: no binding for '" + component.text() +
+                         "'");
+}
+
+}  // namespace
 
 NameService::NameService(const NamingGraph& graph, Internetwork& net,
                          Transport& transport, const AuthorityMap& homes)
@@ -165,24 +178,23 @@ bool NameService::push_snapshot(EntityId ctx, MachineId to) {
   if (!graph_.is_context_object(ctx)) return false;
   auto replicas = homes_.replicas_of(ctx);
   if (replicas.empty()) return false;
-  auto origin = servers_.find(replicas.front());
-  if (origin == servers_.end()) return false;
-  auto origin_loc = net_.location_of(origin->second);
-  if (!origin_loc.is_ok()) return false;
-  auto target = servers_.find(to);
-  if (target == servers_.end()) return false;
-  auto target_loc = net_.location_of(target->second);
-  if (!target_loc.is_ok()) return false;
+  auto origin = live_server(replicas.front());
+  auto target = live_server(to);
+  if (!origin || !target) return false;
   // Same full-snapshot layout as publish_update — the receiver cannot
   // tell a migration copy from a replication push, which is the point:
   // apply-if-newer makes loss and reordering harmless either way.
-  const std::uint64_t epoch = graph_.rebind_epoch(ctx);
   migration_pushes_->inc();
+  return send_snapshot(*origin, *target, ctx);
+}
+
+bool NameService::send_snapshot(const LiveServer& from, const LiveServer& to,
+                                EntityId ctx) {
+  const std::uint64_t epoch = graph_.rebind_epoch(ctx);
   transport_.tracer().record(transport_.simulator().now(),
                              EventKind::kUpdatePush, 0, ctx.value(), epoch);
   return transport_
-      .send(origin->second,
-            relativize(target_loc.value(), origin_loc.value()),
+      .send(from.endpoint, relativize(to.location, from.location),
             encode_update_push(ctx, epoch, graph_.context(ctx).bindings()))
       .is_ok();
 }
@@ -342,17 +354,14 @@ void NameService::publish_update(EntityId ctx) {
   }
   for (MachineId machine : holders) push_invalidations(machine, ctx);
   if (replicas.size() < 2) return;
-  auto primary = servers_.find(replicas.front());
-  if (primary == servers_.end() || !net_.location_of(primary->second).is_ok()) {
+  auto primary = live_server(replicas.front());
+  if (!primary) {
     // The publish was owed but cannot go out; remember the debt so a
     // later anti-entropy round retries once the primary is back.
     ae_dirty_.insert(ctx);
     return;
   }
-  auto primary_loc = net_.location_of(primary->second);
   const std::uint64_t epoch = graph_.rebind_epoch(ctx);
-  const auto bindings = graph_.context(ctx).bindings();
-  Tracer& tracer = transport_.tracer();
   bool lagging = false;
   for (std::size_t i = 1; i < replicas.size(); ++i) {
     // Epoch gate (the snapshot-storm fix): a secondary whose applied
@@ -365,20 +374,13 @@ void NameService::publish_update(EntityId ctx) {
       continue;
     }
     lagging = true;
-    auto secondary = servers_.find(replicas[i]);
-    if (secondary == servers_.end()) continue;
-    auto secondary_loc = net_.location_of(secondary->second);
-    if (!secondary_loc.is_ok()) continue;
+    auto secondary = live_server(replicas[i]);
+    if (!secondary) continue;
     // Full-snapshot push. Snapshots rather than deltas keep the apply
     // idempotent — any newer snapshot supersedes the store wholesale, so
     // loss and reordering can delay convergence but never corrupt it.
     update_pushes_->inc();
-    tracer.record(transport_.simulator().now(), EventKind::kUpdatePush, 0,
-                  ctx.value(), epoch);
-    (void)transport_.send(
-        primary->second,
-        relativize(secondary_loc.value(), primary_loc.value()),
-        encode_update_push(ctx, epoch, bindings));
+    (void)send_snapshot(*primary, *secondary, ctx);
   }
   // Dirty while any secondary lags (it may need a re-push: the snapshot
   // just sent rides the same lossy network as everything else); clean the
@@ -526,16 +528,56 @@ void NameService::handle_update(EndpointId self, const Message& message) {
   maybe_clean(ctx);
 }
 
-void NameService::handle_request(EndpointId self, const Message& message) {
-  const std::optional<ResolveRequest> request =
-      decode_resolve_request(message);
-  if (!request) return;  // not ours / malformed
-  const std::uint64_t corr = request->corr;
-  EntityId ctx = request->start;
+std::optional<NameService::LiveServer> NameService::live_server(
+    MachineId machine) const {
+  auto it = servers_.find(machine);
+  if (it == servers_.end()) return std::nullopt;
+  auto loc = net_.location_of(it->second);
+  if (!loc.is_ok()) return std::nullopt;
+  return LiveServer{it->second, loc.value()};
+}
 
+void NameService::handle_request(EndpointId self, const Message& message) {
+  std::optional<Inbound> in = admit(self, message);
+  if (!in) return;  // not ours / malformed, or this server is gone
+  std::optional<CompoundName> parsed;
+  NameSlice components;
+  if (!in->request.path.empty()) {
+    // Decode = intern: the text entered this node here; from now on the
+    // walk is all atom compares.
+    auto result = CompoundName::parse_relative(in->request.path);
+    if (!result.is_ok()) {
+      send_error(*in, result.status().to_string());
+      return;
+    }
+    parsed = std::move(result).value();
+    components = parsed->slice();
+  }
+  const EntityId start = in->request.start;
+  // Zero components resolve to the start entity itself (the identity
+  // resolution). This case must answer explicitly: falling through the
+  // walk loop without a reply would strand the client through every retry
+  // and surface as a bogus "message lost" error.
+  if (components.empty()) {
+    if (!graph_.contains(start)) {
+      send_error(*in, "unknown start entity in empty-path request");
+      return;
+    }
+    in->count(answers_);
+    send_reply(*in, NsWire::kAnswer, start, "", "", start);
+    return;
+  }
+  walk(*in, start, components);
+}
+
+std::optional<NameService::Inbound> NameService::admit(
+    EndpointId self, const Message& message) {
+  std::optional<ResolveRequest> request = decode_resolve_request(message);
+  if (!request) return std::nullopt;
+  const std::uint64_t corr = request->corr;
+  const EntityId start = request->start;
   Tracer& tracer = transport_.tracer();
   const SimTime now = transport_.simulator().now();
-
   // At-most-once accounting: a retransmission (same correlation id within
   // the window) is still answered — the original reply may have been lost —
   // but must not count as a second resolution in the stats.
@@ -547,24 +589,125 @@ void NameService::handle_request(EndpointId self, const Message& message) {
     requests_->inc();
   }
   tracer.record(now, EventKind::kServerHandle, corr, self.value(),
-                ctx.value());
-  auto count = [&](Counter* counter) {
-    if (!duplicate) counter->inc();
-  };
-
+                start.value());
   auto my_machine = net_.machine_of(self);
-  if (!my_machine.is_ok()) return;
+  if (!my_machine.is_ok()) return std::nullopt;
   auto my_loc = net_.location_of(self);
-  if (!my_loc.is_ok()) return;
-
+  if (!my_loc.is_ok()) return std::nullopt;
   // Subtree load attribution (track_subtree_loads): charge the request to
-  // the registered subtree its *start* context belongs to, before the walk
-  // advances `ctx`.
-  if (!duplicate && ctx.valid() && ctx.value() < subtree_slot_.size()) {
-    const std::uint32_t slot = subtree_slot_[ctx.value()];
+  // the registered subtree its *start* context belongs to.
+  if (!duplicate && start.valid() && start.value() < subtree_slot_.size()) {
+    const std::uint32_t slot = subtree_slot_[start.value()];
     if (slot != kNoSlot) subtree_hits_[slot]->inc();
   }
+  return Inbound{self,          message,        std::move(*request),
+                 my_machine.value(), my_loc.value(), duplicate};
+}
 
+void NameService::walk(const Inbound& in, EntityId ctx, NameSlice components) {
+  // Walk while the current context is replicated here; refer onward
+  // otherwise. The primary serves straight from the naming graph; a
+  // secondary serves from the last snapshot it applied (stamping the
+  // snapshot's epoch), or refers to the primary if it never synced.
+  for (std::size_t i = 0; i < components.size(); ++i) {
+    if (!graph_.is_context_object(ctx)) {
+      send_error(in, "NOT_A_CONTEXT at '" + components[i].text() + "'");
+      return;
+    }
+    auto replicas = homes_.replicas_of(ctx);
+    if (replicas.empty()) {
+      send_error(in, "context has no authoritative home");
+      return;
+    }
+    const bool here = homes_.is_replica(ctx, in.machine);
+    const bool primary = here && homes_.is_primary(ctx, in.machine);
+    const ReplicaState* state =
+        here && !primary ? find(in.machine, ctx) : nullptr;
+    if (!primary && state == nullptr) {
+      // Not served here, or a secondary that never synced: answering from
+      // nothing would turn "no snapshot yet" into a spurious NOT_FOUND.
+      if (!here) note_forwarded(in, ctx);
+      refer_to_primary(in, ctx, replicas.front(), components.subslice(i));
+      return;
+    }
+    const Result<EntityId> next = primary
+                                      ? graph_.lookup(ctx, components[i])
+                                      : read_store(state->bindings,
+                                                   components[i]);
+    const std::optional<std::uint64_t> store_epoch =
+        primary ? std::nullopt : std::optional(state->epoch);
+    const bool last = i + 1 == components.size();
+    if (next.is_ok() && !last) {
+      ctx = next.value();
+      continue;
+    }
+    if (store_epoch) {
+      in.count(store_answers_);
+      transport_.tracer().record(transport_.simulator().now(),
+                                 EventKind::kStoreAnswer, in.request.corr,
+                                 ctx.value(), *store_epoch);
+    }
+    if (!next.is_ok()) {
+      // Stamp the context where the lookup failed so negative cache
+      // entries are invalidated when it is rebound.
+      send_error(in, next.status().to_string(), ctx, store_epoch);
+      return;
+    }
+    in.count(answers_);
+    send_reply(in, NsWire::kAnswer, next.value(), "", "", ctx, store_epoch);
+    return;
+  }
+  // Defensive: every branch above replies. Never exit silently — silence
+  // costs the client its full retry budget.
+  send_error(in, "internal: request fell through the resolution walk");
+}
+
+void NameService::note_forwarded(const Inbound& in, EntityId ctx) {
+  // Forwarding window (docs/REBALANCING.md): this server owned `ctx` until
+  // a recent cutover. The referral that follows already points at the new
+  // owner (the shared authority map was rewritten at cutover, and glue
+  // rides along) — the tombstone just makes the window observable and
+  // bounded.
+  auto held = forwarding_.find(in.machine);
+  if (held == forwarding_.end()) return;
+  const SimTime now = transport_.simulator().now();
+  const bool open = std::any_of(
+      held->second.begin(), held->second.end(),
+      [&](const ForwardingWindow& w) {
+        return w.expires > now &&
+               std::binary_search(w.ctxs->begin(), w.ctxs->end(), ctx);
+      });
+  if (!open) return;
+  in.count(forwarded_);
+  const ShardId owner = homes_.shard_of(ctx);
+  transport_.tracer().record(now, EventKind::kForwarded, in.request.corr,
+                             ctx.value(),
+                             owner == AuthorityMap::kNoShard ? 0 : owner);
+}
+
+void NameService::refer_to_primary(const Inbound& in, EntityId ctx,
+                                   MachineId primary, NameSlice rest) {
+  // The primary must have a live server: it heads the reply's replica
+  // list, which is where the client goes next.
+  if (!live_server(primary)) {
+    send_error(in, "authoritative machine has no name server");
+    return;
+  }
+  in.count(referrals_);
+  send_reply(in, NsWire::kReferral, ctx, rest.joined(), "", ctx);
+}
+
+void NameService::send_error(const Inbound& in, std::string error,
+                             EntityId authority,
+                             std::optional<std::uint64_t> epoch) {
+  in.count(failures_);
+  send_reply(in, NsWire::kError, {}, "", std::move(error), authority, epoch);
+}
+
+void NameService::send_reply(const Inbound& in, std::uint64_t disposition,
+                             EntityId entity, std::string remaining,
+                             std::string error, EntityId authority,
+                             std::optional<std::uint64_t> epoch) {
   // Every reply names the authority's live replica servers, primary
   // first — so clients can fail over, and a referral's first entry is its
   // target. All pids are in *this server's* context; the transport rebases
@@ -572,200 +715,49 @@ void NameService::handle_request(EndpointId self, const Message& message) {
   // the context whose bindings the reply depends on; the epoch stamped is
   // the graph's current rebind epoch, or — when a secondary answered from
   // its replica store — the *snapshot's* epoch, so staleness is visible.
-  auto live_servers = [&](std::span<const MachineId> machines) {
-    std::vector<WireServer> out;
-    for (MachineId m : machines) {
-      auto sit = servers_.find(m);
-      if (sit == servers_.end()) continue;
-      auto loc = net_.location_of(sit->second);
-      if (!loc.is_ok()) continue;
-      out.push_back(WireServer{relativize(loc.value(), my_loc.value()), m});
+  const std::uint64_t corr = in.request.corr;
+  const EventKind kind = disposition == NsWire::kAnswer
+                             ? EventKind::kServerAnswer
+                             : disposition == NsWire::kReferral
+                                   ? EventKind::kServerReferral
+                                   : EventKind::kServerError;
+  transport_.tracer().record(transport_.simulator().now(), kind, corr,
+                             in.self.value(),
+                             entity.valid() ? entity.value() : 0);
+  ResolveReply reply;
+  reply.corr = corr;
+  reply.disposition = disposition;
+  reply.entity = entity;
+  reply.remaining = std::move(remaining);
+  reply.error = std::move(error);
+  const bool stamp = authority.valid() && graph_.is_context_object(authority);
+  if (stamp) {
+    reply.authority = authority;
+    reply.epoch = epoch ? *epoch : graph_.rebind_epoch(authority);
+    for (MachineId m : homes_.replicas_of(authority)) {
+      if (auto server = live_server(m)) {
+        reply.replicas.push_back(
+            WireServer{relativize(server->location, in.location), m});
+      }
     }
-    return out;
-  };
-  auto send_reply = [&](std::uint64_t disposition, EntityId entity,
-                        std::string remaining, std::string error,
-                        EntityId authority,
-                        std::optional<std::uint64_t> epoch_override =
-                            std::nullopt) {
-    const EventKind kind = disposition == NsWire::kAnswer
-                               ? EventKind::kServerAnswer
-                               : disposition == NsWire::kReferral
-                                     ? EventKind::kServerReferral
-                                     : EventKind::kServerError;
-    tracer.record(transport_.simulator().now(), kind, corr, self.value(),
-                  entity.valid() ? entity.value() : 0);
-    ResolveReply reply;
-    reply.corr = corr;
-    reply.disposition = disposition;
-    reply.entity = entity;
-    reply.remaining = std::move(remaining);
-    reply.error = std::move(error);
-    const bool stamp =
-        authority.valid() && graph_.is_context_object(authority);
-    if (stamp) {
-      reply.authority = authority;
-      reply.epoch = epoch_override ? *epoch_override
-                                   : graph_.rebind_epoch(authority);
-      reply.replicas = live_servers(homes_.replicas_of(authority));
-    }
-    // Only the primary grants — it is where invalidations originate, so a
-    // secondary's promise could never be kept. Referrals carry no binding
-    // to promise about.
-    if ((request->flags & NsWire::kFlagLeaseRequested) != 0 && stamp &&
-        disposition != NsWire::kReferral &&
-        homes_.is_primary(authority, my_machine.value())) {
-      std::tie(reply.lease_duration, reply.lease_id) =
-          grant_lease(my_machine.value(), authority, message.reply_to,
-                      reply.epoch, corr);
-    }
-    // Glue (docs/SHARDING.md): a referral names the shard owning the
-    // referred context, so a shard-routing client learns that shard's
-    // route (the reply's replica list) in the same round trip.
-    if (disposition == NsWire::kReferral) {
-      reply.shard = homes_.shard_of(authority);
-    }
-    (void)transport_.send(self, message.reply_to, encode_resolve_reply(reply));
-  };
-  auto send_error = [&](std::string error, EntityId authority = {},
-                        std::optional<std::uint64_t> epoch_override =
-                            std::nullopt) {
-    count(failures_);
-    send_reply(NsWire::kError, {}, "", std::move(error), authority,
-               epoch_override);
-  };
-
-  std::optional<CompoundName> parsed;
-  NameSlice components;
-  if (!request->path.empty()) {
-    // Decode = intern: the text entered this node here; from now on the
-    // walk is all atom compares.
-    auto result = CompoundName::parse_relative(request->path);
-    if (!result.is_ok()) {
-      send_error(result.status().to_string());
-      return;
-    }
-    parsed = std::move(result).value();
-    components = parsed->slice();
   }
-
-  // Zero components resolve to the start entity itself (the identity
-  // resolution). This case must answer explicitly: falling through the
-  // walk loop without a reply would strand the client through every retry
-  // and surface as a bogus "message lost" error.
-  if (components.empty()) {
-    if (!graph_.contains(ctx)) {
-      send_error("unknown start entity in empty-path request");
-      return;
-    }
-    count(answers_);
-    send_reply(NsWire::kAnswer, ctx, "", "", ctx);
-    return;
+  // Only the primary grants — it is where invalidations originate, so a
+  // secondary's promise could never be kept. Referrals carry no binding
+  // to promise about.
+  if ((in.request.flags & NsWire::kFlagLeaseRequested) != 0 && stamp &&
+      disposition != NsWire::kReferral &&
+      homes_.is_primary(authority, in.machine)) {
+    std::tie(reply.lease_duration, reply.lease_id) = grant_lease(
+        in.machine, authority, in.message.reply_to, reply.epoch, corr);
   }
-
-  // Refer the client to the primary for `ctx` at component `i`. The
-  // primary must have a live server: it heads the reply's replica list,
-  // which is where the client goes next.
-  auto refer_to_primary = [&](MachineId primary, std::size_t i) {
-    auto next_server = server_on(primary);
-    if (!next_server.is_ok()) {
-      send_error("authoritative machine has no name server");
-      return;
-    }
-    if (!net_.location_of(next_server.value()).is_ok()) {
-      send_error("authoritative server endpoint is dead");
-      return;
-    }
-    count(referrals_);
-    send_reply(NsWire::kReferral, ctx, components.subslice(i).joined(), "",
-               ctx);
-  };
-
-  // Walk while the current context is replicated here; refer onward
-  // otherwise. The primary serves straight from the naming graph; a
-  // secondary serves from the last snapshot it applied (stamping the
-  // snapshot's epoch), or refers to the primary if it never synced.
-  for (std::size_t i = 0; i < components.size(); ++i) {
-    if (!graph_.is_context_object(ctx)) {
-      send_error("NOT_A_CONTEXT at '" + components[i].text() + "'");
-      return;
-    }
-    auto replicas = homes_.replicas_of(ctx);
-    if (replicas.empty()) {
-      send_error("context has no authoritative home");
-      return;
-    }
-    if (!homes_.is_replica(ctx, my_machine.value())) {
-      // Forwarding window (docs/REBALANCING.md): this server owned `ctx`
-      // until a recent cutover. The referral below already points at the
-      // new owner (the shared authority map was rewritten at cutover, and
-      // glue rides along) — the tombstone just makes the window
-      // observable and bounded.
-      auto held = forwarding_.find(my_machine.value());
-      if (held != forwarding_.end() &&
-          std::any_of(held->second.begin(), held->second.end(),
-                      [&](const ForwardingWindow& w) {
-                        return w.expires > now &&
-                               std::binary_search(w.ctxs->begin(),
-                                                  w.ctxs->end(), ctx);
-                      })) {
-        count(forwarded_);
-        const ShardId owner = homes_.shard_of(ctx);
-        tracer.record(transport_.simulator().now(), EventKind::kForwarded,
-                      corr, ctx.value(),
-                      owner == AuthorityMap::kNoShard ? 0 : owner);
-      }
-      refer_to_primary(replicas.front(), i);
-      return;
-    }
-    Result<EntityId> next = not_found_error("unresolved");
-    std::optional<std::uint64_t> store_epoch;
-    if (homes_.is_primary(ctx, my_machine.value())) {
-      next = graph_.lookup(ctx, components[i]);
-    } else {
-      const ReplicaState* state = find(my_machine.value(), ctx);
-      if (state == nullptr) {
-        // Never synced: answering from nothing would turn "no snapshot
-        // yet" into a spurious NOT_FOUND. Refer to the primary instead.
-        refer_to_primary(replicas.front(), i);
-        return;
-      }
-      store_epoch = state->epoch;
-      auto hit = std::find_if(
-          state->bindings.begin(), state->bindings.end(),
-          [&](const Binding& b) { return b.name == components[i]; });
-      // The error text crosses the wire; build it only on a miss.
-      next = hit != state->bindings.end()
-                 ? Result<EntityId>(hit->entity)
-                 : not_found_error("NOT_FOUND: no binding for '" +
-                                   components[i].text() + "'");
-    }
-    if (!next.is_ok()) {
-      if (store_epoch) {
-        count(store_answers_);
-        tracer.record(transport_.simulator().now(), EventKind::kStoreAnswer,
-                      corr, ctx.value(), *store_epoch);
-      }
-      // Stamp the context where the lookup failed so negative cache
-      // entries are invalidated when it is rebound.
-      send_error(next.status().to_string(), ctx, store_epoch);
-      return;
-    }
-    if (i + 1 == components.size()) {
-      count(answers_);
-      if (store_epoch) {
-        count(store_answers_);
-        tracer.record(transport_.simulator().now(), EventKind::kStoreAnswer,
-                      corr, ctx.value(), *store_epoch);
-      }
-      send_reply(NsWire::kAnswer, next.value(), "", "", ctx, store_epoch);
-      return;
-    }
-    ctx = next.value();
+  // Glue (docs/SHARDING.md): a referral names the shard owning the
+  // referred context, so a shard-routing client learns that shard's
+  // route (the reply's replica list) in the same round trip.
+  if (disposition == NsWire::kReferral) {
+    reply.shard = homes_.shard_of(authority);
   }
-  // Defensive: every branch above replies. Never exit silently — silence
-  // costs the client its full retry budget.
-  send_error("internal: request fell through the resolution walk");
+  (void)transport_.send(in.self, in.message.reply_to,
+                        encode_resolve_reply(reply));
 }
 
 }  // namespace namecoh

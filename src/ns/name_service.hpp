@@ -15,25 +15,23 @@
 //                      answer with either a result or a *referral* (next
 //                      authoritative machine + remaining path), the
 //                      iterative style of DNS;
+//   * ResolverClient — the client side (src/ns/resolver_client.hpp).
 #pragma once
 
 #include <deque>
-#include <functional>
-#include <list>
 #include <memory>
 #include <optional>
-#include <span>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "core/naming_graph.hpp"
-#include "core/resolve.hpp"
 #include "net/transport.hpp"
 #include "ns/authority_map.hpp"
 #include "ns/ns_wire.hpp"
 #include "obs/snapshot.hpp"
-#include "util/hash.hpp"
 
 namespace namecoh {
 
@@ -104,7 +102,6 @@ class NameService {
   /// the server grants nothing rather than break an outstanding promise
   /// ("lease_table_full").
   void set_lease_policy(SimDuration duration, std::size_t capacity = 4096);
-  [[nodiscard]] SimDuration lease_duration() const { return lease_duration_; }
   /// Outstanding (possibly expired, not yet purged) leases granted by
   /// `machine`'s server. For tests and table-bound assertions.
   [[nodiscard]] std::size_t lease_count(MachineId machine) const;
@@ -189,7 +186,45 @@ class NameService {
     std::unordered_map<EntityId, std::vector<std::uint64_t>> by_ctx;
   };
 
+  /// One resolve request being served, shared by handle_request's steps.
+  struct Inbound {
+    EndpointId self;
+    const Message& message;
+    ResolveRequest request;
+    MachineId machine;   ///< the serving machine
+    Location location;   ///< self's; reply pids are relative to it
+    bool duplicate;      ///< a retransmission: answered, but not counted
+    void count(Counter* counter) const {
+      if (!duplicate) counter->inc();
+    }
+  };
+  /// A machine's server endpoint and where it lives.
+  struct LiveServer {
+    EndpointId endpoint;
+    Location location;
+  };
+
   void handle_request(EndpointId self, const Message& message);
+  // handle_request's steps, in the order a request meets them; `admit`
+  // returns nullopt for a malformed request or a server that is gone.
+  std::optional<Inbound> admit(EndpointId self, const Message& message);
+  void walk(const Inbound& in, EntityId ctx, NameSlice components);
+  void note_forwarded(const Inbound& in, EntityId ctx);
+  void refer_to_primary(const Inbound& in, EntityId ctx, MachineId primary,
+                        NameSlice rest);
+  void send_reply(const Inbound& in, std::uint64_t disposition,
+                  EntityId entity, std::string remaining, std::string error,
+                  EntityId authority,
+                  std::optional<std::uint64_t> epoch = std::nullopt);
+  void send_error(const Inbound& in, std::string error,
+                  EntityId authority = {},
+                  std::optional<std::uint64_t> epoch = std::nullopt);
+  /// `machine`'s server, when it has one whose endpoint is alive.
+  [[nodiscard]] std::optional<LiveServer> live_server(MachineId machine) const;
+  /// Send `ctx`'s current bindings and rebind epoch from `from` to `to`.
+  bool send_snapshot(const LiveServer& from, const LiveServer& to,
+                     EntityId ctx);
+
   void handle_update(EndpointId self, const Message& message);
   /// `machine`'s applied snapshot of `ctx`; nullptr when it never applied
   /// one.

@@ -63,7 +63,6 @@ ResolverClient::ResolverClient(const NamingGraph& graph, Internetwork& net,
   stale_replies_dropped_ = &metrics.counter(prefix + "stale_replies_dropped");
   failovers_ = &metrics.counter(prefix + "failovers");
   coalesced_ = &metrics.counter(prefix + "coalesced");
-  coalesce_rejected_ = &metrics.counter(prefix + "coalesce_rejected");
   invalidates_received_ = &metrics.counter(prefix + "invalidates_received");
   lease_renewals_ = &metrics.counter(prefix + "lease_renewals");
   lease_degrades_ = &metrics.counter(prefix + "lease_degrades");
@@ -71,7 +70,6 @@ ResolverClient::ResolverClient(const NamingGraph& graph, Internetwork& net,
   // "how much referral traffic crossed shards" is a fabric question, and
   // thousands of bench clients sharing three counters beats thousands of
   // prefixed triples.
-  delegations_chased_ = &metrics.counter("ns.shard.delegations_chased");
   glue_hits_ = &metrics.counter("ns.shard.glue_hits");
   cross_shard_hops_ = &metrics.counter("ns.shard.cross_shard_hops");
   route_reuses_ = &metrics.counter("ns.shard.route_reuses");
@@ -136,42 +134,56 @@ const ResolverClient::CacheEntry* ResolverClient::cache_lookup(
   CacheEntry& entry = it->second;
   // Expiry at the exact boundary counts: an entry stamped `expires == now`
   // has lived its full TTL.
-  if (entry.expires <= sim_.now()) {
-    lru_.erase(entry.lru);
-    cache_.erase(it);
-    return nullptr;
-  }
-  if (config_.epoch_invalidation && entry.authority.valid()) {
+  bool dead = entry.expires <= sim_.now();
+  if (!dead && config_.epoch_invalidation && entry.authority.valid()) {
     auto seen = epochs_seen_.find(entry.authority);
     if (seen != epochs_seen_.end() && seen->second.epoch > entry.epoch) {
       stale_epoch_drops_->inc();
       transport_.tracer().record_in_span(span, sim_.now(),
                                          EventKind::kStaleEpochDrop,
                                          entry.authority.value(), entry.epoch);
-      lru_.erase(entry.lru);
-      cache_.erase(it);
-      return nullptr;
+      dead = true;
     }
+  }
+  if (dead) {
+    lru_.erase(entry.lru);
+    cache_.erase(it);
+    return nullptr;
   }
   if (entry.lease_id != 0 && entry.lease_expires <= sim_.now()) {
     // The promise lapsed unrenewed (authority unreachable, or the renewal
-    // lost): degrade to riding out the plain TTL — the pre-lease bound —
-    // rather than trusting a promise nobody is keeping anymore.
-    lease_degrades_->inc();
-    transport_.tracer().record_in_span(span, sim_.now(),
-                                       EventKind::kLeaseDegrade,
-                                       key.start.value(),
-                                       entry.authority.valid()
-                                           ? entry.authority.value()
-                                           : 0);
-    entry.lease_id = 0;
-    entry.lease_expires = 0;
+    // lost): stop trusting a promise nobody is keeping anymore.
+    degrade_lease(key.start, entry, span);
   }
   lru_.splice(lru_.begin(), lru_, entry.lru);  // touch
   return &entry;
 }
 
-void ResolverClient::cache_insert(const CacheKey& key, CacheEntry entry) {
+void ResolverClient::degrade_lease(EntityId start, CacheEntry& entry,
+                                   std::uint64_t span) {
+  lease_degrades_->inc();
+  transport_.tracer().record_in_span(
+      span, sim_.now(), EventKind::kLeaseDegrade, start.value(),
+      entry.authority.valid() ? entry.authority.value() : 0);
+  entry.lease_id = 0;
+  entry.lease_expires = 0;
+}
+
+void ResolverClient::cache_reply(const CacheKey& key,
+                                 const ResolveReply& reply, SimDuration ttl) {
+  if (ttl == 0) return;  // this kind of answer is not cached
+  const bool negative = reply.disposition == NsWire::kError;
+  CacheEntry entry{negative ? EntityId::invalid() : reply.entity,
+                   sim_.now() + ttl,
+                   reply.authority,
+                   reply.epoch,
+                   negative,
+                   negative ? reply.error : ""};
+  if (reply.lease_id != 0) {
+    entry.lease_id = reply.lease_id;
+    entry.lease_duration = reply.lease_duration;
+    entry.lease_expires = sim_.now() + reply.lease_duration;
+  }
   auto it = cache_.find(key);
   if (it != cache_.end()) {
     entry.lru = it->second.lru;
@@ -219,19 +231,27 @@ std::uint64_t ResolverClient::member_incarnation(MachineId machine) const {
   return membership_ == nullptr ? 0 : membership_->incarnation(machine);
 }
 
+Result<ResolverClient::ReplicaRef> ResolverClient::route_to(
+    MachineId machine) const {
+  auto server = service_.server_on(machine);
+  if (!server.is_ok()) return server.status();
+  auto my_loc = net_.location_of(endpoint_);
+  auto server_loc = net_.location_of(server.value());
+  if (!my_loc.is_ok() || !server_loc.is_ok()) {
+    return unreachable_error("client or server endpoint is dead");
+  }
+  return ReplicaRef{relativize(server_loc.value(), my_loc.value()), machine,
+                    member_incarnation(machine)};
+}
+
 std::vector<ResolverClient::ReplicaRef> ResolverClient::candidates_for(
     EntityId ctx, const ReplicaRef& via) const {
-  auto my_loc = net_.location_of(endpoint_);
-  if (!my_loc.is_ok()) return {via};
   std::vector<ReplicaRef> authoritative;
   for (MachineId m : service_.authorities().replicas_of(ctx)) {
     if (m == via.machine) continue;
-    auto server = service_.server_on(m);
-    if (!server.is_ok()) continue;
-    auto loc = net_.location_of(server.value());
-    if (!loc.is_ok()) continue;
-    authoritative.push_back(ReplicaRef{relativize(loc.value(), my_loc.value()),
-                                       m, member_incarnation(m)});
+    if (auto route = route_to(m); route.is_ok()) {
+      authoritative.push_back(route.value());
+    }
   }
   if (config_.shard_routing && !authoritative.empty() &&
       !service_.authorities().is_replica(ctx, via.machine)) {
@@ -273,30 +293,9 @@ void ResolverClient::refresh_routes(MachineId machine, const Pid& pid,
   }
 }
 
-void ResolverClient::reroute_hop(PendingResolve& p) {
-  auto local_server = service_.server_on(client_machine_);
-  auto my_loc = net_.location_of(endpoint_);
-  if (!local_server.is_ok() || !my_loc.is_ok()) {
-    complete(p, unreachable_error("no local server to reroute through"));
-    return;
-  }
-  auto server_loc = net_.location_of(local_server.value());
-  if (!server_loc.is_ok()) {
-    complete(p, unreachable_error("local server endpoint is dead"));
-    return;
-  }
-  p.candidates = candidates_for(
-      p.current, ReplicaRef{relativize(server_loc.value(), my_loc.value()),
-                            client_machine_,
-                            member_incarnation(client_machine_)});
-  start_hop(p);
-}
-
 bool ResolverClient::heal_target(PendingResolve& p) {
   if (membership_ == nullptr) return false;
   ReplicaRef& target = p.candidates[p.order[p.candidate]];
-  auto my_loc = net_.location_of(endpoint_);
-  if (!my_loc.is_ok()) return false;
   const MemberState state = membership_->state(target.machine);
   if (state == MemberState::kDown) {
     // The machine left the fabric: skip it without burning the timeout
@@ -306,7 +305,13 @@ bool ResolverClient::heal_target(PendingResolve& p) {
     dead_route_skips_->inc();
     if (!p.rerouted) {
       p.rerouted = true;
-      reroute_hop(p);
+      auto local = route_to(client_machine_);
+      if (!local.is_ok()) {
+        complete(p, unreachable_error("no local server to reroute through"));
+        return true;
+      }
+      p.candidates = candidates_for(p.current, local.value());
+      start_hop(p);
       return true;
     }
     fail_candidate(p, unreachable_error("routed machine left the fabric"));
@@ -318,19 +323,14 @@ bool ResolverClient::heal_target(PendingResolve& p) {
   // The machine renamed (or rejoined) since this route was minted: every
   // address in the route predates the event. Re-derive the pid from the
   // machine's *current* server address before wasting a send on it.
-  auto server = service_.server_on(target.machine);
-  if (server.is_ok()) {
-    if (auto loc = net_.location_of(server.value()); loc.is_ok()) {
-      Pid fresh = relativize(loc.value(), my_loc.value());
-      if (fresh != target.pid) {
-        target.pid = fresh;
-        routes_healed_->inc();
-        transport_.tracer().record_in_span(p.owner_span, sim_.now(),
-                                           EventKind::kRouteHealed,
-                                           target.machine.value(), current);
-        refresh_routes(target.machine, fresh, current);
-      }
-    }
+  auto fresh = route_to(target.machine);
+  if (fresh.is_ok() && fresh.value().pid != target.pid) {
+    target.pid = fresh.value().pid;
+    routes_healed_->inc();
+    transport_.tracer().record_in_span(p.owner_span, sim_.now(),
+                                       EventKind::kRouteHealed,
+                                       target.machine.value(), current);
+    refresh_routes(target.machine, target.pid, current);
   }
   target.incarnation = current;
   return false;
@@ -350,19 +350,12 @@ void ResolverClient::settle_waiter(Waiter& waiter,
 
 void ResolverClient::complete(PendingResolve& p,
                               const Result<EntityId>& result) {
-  if (p.timeout_event.valid()) {
-    sim_.cancel(p.timeout_event);
-    p.timeout_event = EventId();
-  }
+  sim_.cancel(std::exchange(p.timeout_event, EventId()));  // none: a no-op
   if (p.expected_corr != 0) {
     corr_to_request_.erase(p.expected_corr);
     p.expected_corr = 0;
   }
-  if (auto in = inflight_.find(p.key); in != inflight_.end()) {
-    auto& live = in->second;
-    live.erase(std::remove(live.begin(), live.end(), &p), live.end());
-    if (live.empty()) inflight_.erase(in);
-  }
+  inflight_.erase(p.key);
   if (p.refresh && !result.is_ok()) {
     // A failed background renewal: stop pretending the promise holds.
     // The entry keeps serving until its plain TTL runs out (the lease-off
@@ -370,14 +363,7 @@ void ResolverClient::complete(PendingResolve& p,
     // an unreachable authority.
     auto cit = cache_.find(p.key);
     if (cit != cache_.end() && cit->second.lease_id != 0) {
-      lease_degrades_->inc();
-      transport_.tracer().record(sim_.now(), EventKind::kLeaseDegrade, 0,
-                                 p.key.start.value(),
-                                 cit->second.authority.valid()
-                                     ? cit->second.authority.value()
-                                     : 0);
-      cit->second.lease_id = 0;
-      cit->second.lease_expires = 0;
+      degrade_lease(p.key.start, cit->second, 0);
     }
   }
   // Extract before settling: the record must outlive this call (we are
@@ -544,10 +530,7 @@ void ResolverClient::handle_reply(const Message& message) {
   PendingResolve& p = *it->second;
   corr_to_request_.erase(route);
   p.expected_corr = 0;
-  if (p.timeout_event.valid()) {
-    sim_.cancel(p.timeout_event);
-    p.timeout_event = EventId();
-  }
+  sim_.cancel(std::exchange(p.timeout_event, EventId()));  // none: a no-op
   on_reply(p, *reply);
 }
 
@@ -600,32 +583,11 @@ void ResolverClient::on_reply(PendingResolve& p, const ResolveReply& reply) {
   ++p.hops_done;
   switch (reply.disposition) {
     case NsWire::kAnswer:
-      if (config_.cache_ttl > 0) {
-        CacheEntry entry{reply.entity, sim_.now() + config_.cache_ttl,
-                         reply.authority, reply.epoch,
-                         /*negative=*/false, ""};
-        if (reply.lease_id != 0) {
-          entry.lease_id = reply.lease_id;
-          entry.lease_duration = reply.lease_duration;
-          entry.lease_expires = sim_.now() + reply.lease_duration;
-        }
-        cache_insert(p.key, std::move(entry));
-      }
+      cache_reply(p.key, reply, config_.cache_ttl);
       complete(p, reply.entity);
       return;
     case NsWire::kError:
-      if (config_.negative_cache_ttl > 0) {
-        CacheEntry entry{EntityId::invalid(),
-                         sim_.now() + config_.negative_cache_ttl,
-                         reply.authority, reply.epoch,
-                         /*negative=*/true, reply.error};
-        if (reply.lease_id != 0) {
-          entry.lease_id = reply.lease_id;
-          entry.lease_duration = reply.lease_duration;
-          entry.lease_expires = sim_.now() + reply.lease_duration;
-        }
-        cache_insert(p.key, std::move(entry));
-      }
+      cache_reply(p.key, reply, config_.negative_cache_ttl);
       complete(p, not_found_error(reply.error));
       return;
     case NsWire::kReferral: {
@@ -658,7 +620,6 @@ void ResolverClient::on_reply(PendingResolve& p, const ResolveReply& reply) {
         // Glue: learn the delegation boundary and the owning shard's route,
         // so the next hop and every later lookup into the same shard start
         // at that shard's servers.
-        delegations_chased_->inc();
         glue_hits_->inc();
         tracer.record_in_span(p.owner_span, sim_.now(),
                               EventKind::kDelegationChase,
@@ -674,9 +635,8 @@ void ResolverClient::on_reply(PendingResolve& p, const ResolveReply& reply) {
         p.hop_shard = reply.shard;
       }
       // The limit-breaking referral is still counted above — the chase
-      // just stops here instead of sending another hop. The limit is the
-      // *request's* (part of the coalescing identity), not the config's.
-      if (p.hops_done == p.max_referrals + 1) {
+      // just stops here instead of sending another hop.
+      if (p.hops_done == config_.resolve.max_referrals + 1) {
         complete(p, depth_exceeded_error("referral chase exceeded limit"));
         return;
       }
@@ -690,47 +650,18 @@ void ResolverClient::on_reply(PendingResolve& p, const ResolveReply& reply) {
   }
 }
 
-ResolveHandle ResolverClient::resolve_async(EntityId start,
-                                            const CompoundName& name) {
-  return resolve_async_impl(start, name, config_.resolve, {});
-}
-
-ResolveHandle ResolverClient::resolve_async(EntityId start,
-                                            const CompoundName& name,
-                                            ResolveCallback on_done) {
-  return resolve_async_impl(start, name, config_.resolve,
-                            std::move(on_done));
-}
-
-ResolveHandle ResolverClient::resolve_async(EntityId start,
-                                            const CompoundName& name,
-                                            const ResolveOptions& options,
-                                            ResolveCallback on_done) {
-  return resolve_async_impl(start, name, options, std::move(on_done));
-}
-
-ResolverClient::PendingResolve* ResolverClient::launch_exchange(
-    CacheKey key, std::size_t max_referrals, bool refresh, Status* error) {
+Result<ResolverClient::PendingResolve*> ResolverClient::launch_exchange(
+    CacheKey key, bool refresh) {
   // First hop: this machine's own server (DNS-style "local recursive"),
   // then — should it stay silent — the rest of the start context's replica
   // set, straight from the authority map (the client's bootstrap
   // knowledge; later hops learn their candidates from reply replica
   // lists).
-  auto local_server = service_.server_on(client_machine_);
-  if (!local_server.is_ok()) {
-    *error = local_server.status();
-    return nullptr;
-  }
-  auto my_loc = net_.location_of(endpoint_);
-  auto server_loc = net_.location_of(local_server.value());
-  if (!my_loc.is_ok() || !server_loc.is_ok()) {
-    *error = unreachable_error("client or server endpoint is dead");
-    return nullptr;
-  }
+  auto local = route_to(client_machine_);
+  if (!local.is_ok()) return local.status();
   const EntityId start = key.start;
   const std::uint64_t id = next_request_id_++;
   auto record = std::make_unique<PendingResolve>(id, std::move(key));
-  record->max_referrals = max_referrals;
   record->refresh = refresh;
   record->current = start;
   // The unresolved tail is a slice of the *record's own* copy of the name
@@ -738,10 +669,7 @@ ResolverClient::PendingResolve* ResolverClient::launch_exchange(
   // referral narrows it in place, so no per-hop name copies are made.
   record->remaining = record->key.name.slice();
   record->hop_text = record->key.name.to_path();
-  record->candidates = candidates_for(
-      start, ReplicaRef{relativize(server_loc.value(), my_loc.value()),
-                        client_machine_,
-                        member_incarnation(client_machine_)});
+  record->candidates = candidates_for(start, local.value());
   if (config_.shard_routing) {
     const ShardId shard = service_.authorities().shard_of(start);
     record->hop_shard = shard == AuthorityMap::kNoShard
@@ -765,7 +693,7 @@ ResolverClient::PendingResolve* ResolverClient::launch_exchange(
   }
   PendingResolve& p = *record;
   requests_.emplace(id, std::move(record));
-  inflight_[p.key].push_back(&p);
+  inflight_.emplace(p.key, &p);
   return &p;
 }
 
@@ -781,17 +709,14 @@ void ResolverClient::maybe_renew(const CacheKey& key,
   // earlier refresh); its answer will re-lease the entry.
   if (inflight_.contains(key)) return;
   lease_renewals_->inc();
-  Status error = internal_error("unset");
-  PendingResolve* p = launch_exchange(key, config_.resolve.max_referrals,
-                                      /*refresh=*/true, &error);
-  if (p == nullptr) return;  // can't renew now; degrade on lapse instead
-  start_hop(*p);
+  auto p = launch_exchange(key, /*refresh=*/true);
+  if (!p.is_ok()) return;  // can't renew now; degrade on lapse instead
+  start_hop(*p.value());
 }
 
-ResolveHandle ResolverClient::resolve_async_impl(EntityId start,
-                                                 const CompoundName& name,
-                                                 const ResolveOptions& options,
-                                                 ResolveCallback callback) {
+ResolveHandle ResolverClient::resolve_async(EntityId start,
+                                            const CompoundName& name,
+                                            ResolveCallback on_done) {
   Tracer& tracer = transport_.tracer();
   auto state = std::make_shared<ResolveHandle::State>();
   // The span (and the path string it labels) exists only when tracing is
@@ -802,7 +727,7 @@ ResolveHandle ResolverClient::resolve_async_impl(EntityId start,
     state->span = tracer.open_span(sim_.now(), start.value(), name.to_path());
   }
   ResolveHandle handle(state);
-  Waiter waiter{std::move(state), std::move(callback)};
+  Waiter waiter{std::move(state), std::move(on_done)};
   resolutions_->inc();
   if (name.front().is_root()) {
     settle_waiter(waiter,
@@ -842,55 +767,35 @@ ResolveHandle ResolverClient::resolve_async_impl(EntityId start,
                           EventKind::kCacheMiss, start.value());
   }
 
-  // Coalescing: a lookup identical to one already on the wire attaches to
-  // that exchange instead of duplicating it — but only when the options
-  // that shape the wire outcome agree. A waiter with a different referral
-  // budget attached to the owner's exchange could receive an answer its
-  // own limit forbids (or a spurious limit error), so it runs its own
-  // exchange instead ("coalesce_rejected"). The waiter keeps its own span
-  // and callback; only the wire work is shared.
+  // Coalescing: a lookup identical to one already on the wire (a lookup
+  // or a background lease refresh) attaches to that exchange instead of
+  // duplicating it. Every exchange runs under the one config, so the
+  // attached waiter gets exactly the answer it would have got alone. The
+  // waiter keeps its own span and callback; only the wire work is shared.
   if (auto in = inflight_.find(key); in != inflight_.end()) {
-    PendingResolve* compatible = nullptr;
-    for (PendingResolve* live : in->second) {
-      if (live->max_referrals == options.max_referrals) {
-        compatible = live;
-        break;
-      }
-    }
-    if (compatible != nullptr) {
-      coalesced_->inc();
-      tracer.record_in_span(waiter.state->span, sim_.now(),
-                            EventKind::kCoalesced, start.value(),
-                            compatible->id);
-      compatible->waiters.push_back(std::move(waiter));
-      return handle;
-    }
-    coalesce_rejected_->inc();
-  }
-
-  Status error = internal_error("unset");
-  PendingResolve* p =
-      launch_exchange(std::move(key), options.max_referrals,
-                      /*refresh=*/false, &error);
-  if (p == nullptr) {
-    settle_waiter(waiter, error);
+    PendingResolve& live = *in->second;
+    coalesced_->inc();
+    tracer.record_in_span(waiter.state->span, sim_.now(),
+                          EventKind::kCoalesced, start.value(), live.id);
+    live.waiters.push_back(std::move(waiter));
     return handle;
   }
-  p->owner_span = waiter.state->span;
-  p->waiters.push_back(std::move(waiter));
-  start_hop(*p);
+
+  auto launched = launch_exchange(std::move(key), /*refresh=*/false);
+  if (!launched.is_ok()) {
+    settle_waiter(waiter, launched.status());
+    return handle;
+  }
+  PendingResolve& p = *launched.value();
+  p.owner_span = waiter.state->span;
+  p.waiters.push_back(std::move(waiter));
+  start_hop(p);
   return handle;
 }
 
 Result<EntityId> ResolverClient::resolve(EntityId start,
                                          const CompoundName& name) {
-  return resolve(start, name, config_.resolve);
-}
-
-Result<EntityId> ResolverClient::resolve(EntityId start,
-                                         const CompoundName& name,
-                                         const ResolveOptions& options) {
-  ResolveHandle handle = resolve_async(start, name, options);
+  ResolveHandle handle = resolve_async(start, name);
   sim_.run_while([&handle] { return !handle.done(); });
   NAMECOH_CHECK(handle.done(),
                 "blocking resolve stalled: the event queue drained before "

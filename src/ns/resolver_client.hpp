@@ -1,10 +1,8 @@
-// The client side of the distributed name service (src/ns/name_service.hpp):
-//
-//   * ResolverClient — issues requests, follows referrals, retries lost
-//                      messages with a timed exponential backoff, and keeps
-//                      a bounded-LRU TTL cache of (context, path) → entity
-//                      with optional negative entries and epoch-based
-//                      invalidation.
+// The client side of the distributed name service (src/ns/name_service.hpp).
+// A ResolverClient issues requests, follows referrals, retries lost
+// messages with a timed exponential backoff, and keeps a bounded-LRU TTL
+// cache of (context, path) → entity with optional negative entries and
+// epoch-based invalidation.
 //
 // Resolution is an *event-driven engine* (docs/ASYNC.md): resolve_async
 // enqueues a per-request state machine whose sends, timeouts, backoff
@@ -55,8 +53,7 @@ class MembershipDirectory;  // src/ns/membership.hpp
 /// resend into silence, and how the per-attempt deadline grows. Grouped so
 /// a policy travels as one value — the client's normal lookups and the
 /// membership-aware rerouting path (docs/MEMBERSHIP.md) can each carry
-/// their own. (Until PR 10 these four lived as flat fields directly on
-/// ResolverClientConfig; see docs/ASYNC.md for the migration note.)
+/// their own.
 struct RetryPolicy {
   /// Resend attempts per hop after a timeout (the transport reports
   /// nothing; loss shows up as silence). 0 = fail on first timeout.
@@ -126,7 +123,6 @@ class ResolveHandle {
   explicit ResolveHandle(std::shared_ptr<State> state)
       : state_(std::move(state)) {}
 
-  [[nodiscard]] bool valid() const { return state_ != nullptr; }
   [[nodiscard]] bool done() const { return state_ != nullptr && state_->done; }
   /// The settled outcome; requires done().
   [[nodiscard]] const Result<EntityId>& result() const {
@@ -168,32 +164,22 @@ class ResolverClient {
   /// lookup identical to one already in flight (same start, same name
   /// atoms) *coalesces*: it attaches to the existing wire exchange instead
   /// of sending, and settles with it ("coalesced" counter, kCoalesced
-  /// trace event). Cache hits and immediately-detectable errors settle
-  /// synchronously, before this returns. When the transport's tracer is
-  /// enabled, each waiter gets its own span; the wire-level events of a
-  /// shared exchange are recorded under the owning (first) waiter's span.
-  ResolveHandle resolve_async(EntityId start, const CompoundName& name);
-  /// Callback form: `on_done` fires exactly once when the resolution
-  /// settles (synchronously for cache hits; from inside a simulator event
-  /// otherwise). The callback may submit new resolutions.
+  /// trace event). Every exchange runs under the config's `resolve`
+  /// options, so all waiters on one key settle alike. Cache hits and
+  /// immediately-detectable errors settle synchronously, before this
+  /// returns. When the transport's tracer is enabled, each waiter gets its
+  /// own span; the wire-level events of a shared exchange are recorded
+  /// under the owning (first) waiter's span. `on_done`, if set, fires
+  /// exactly once when the resolution settles (synchronously for cache
+  /// hits; from inside a simulator event otherwise) and may submit new
+  /// resolutions.
   ResolveHandle resolve_async(EntityId start, const CompoundName& name,
-                              ResolveCallback on_done);
-  /// Per-request options form: `options` overrides the config's
-  /// `resolve` options for this lookup only. Lookups whose effective
-  /// options differ in a way that changes the wire outcome
-  /// (max_referrals) never coalesce with each other — a mismatched
-  /// waiter runs its own exchange instead ("coalesce_rejected").
-  ResolveHandle resolve_async(EntityId start, const CompoundName& name,
-                              const ResolveOptions& options,
                               ResolveCallback on_done = {});
 
   /// Blocking form: submit via resolve_async, then drive the simulator
-  /// until that handle settles. Byte-identical results, counters and span
-  /// structure to the pre-async resolver; other in-flight work naturally
-  /// progresses while this waits.
+  /// until that handle settles. Other in-flight work naturally progresses
+  /// while this waits.
   Result<EntityId> resolve(EntityId start, const CompoundName& name);
-  Result<EntityId> resolve(EntityId start, const CompoundName& name,
-                           const ResolveOptions& options);
 
   /// Point-in-time copy of this client's counters
   /// ("ns.client.<endpoint-id>.*"); index by bare field name, e.g.
@@ -226,9 +212,8 @@ class ResolverClient {
  private:
   // Keys are (start context, name) with the name held as interned atoms:
   // hashing and equality are integer scans, and a key copy is a memcpy for
-  // names that fit the inline buffer (no heap, unlike the path-string keys
-  // this replaced). The same key identifies identical in-flight lookups
-  // for coalescing.
+  // names that fit the inline buffer. The same key identifies identical
+  // in-flight lookups for coalescing.
   struct CacheKey {
     EntityId start;
     CompoundName name;
@@ -285,8 +270,6 @@ class ResolverClient {
 
     std::uint64_t id;
     CacheKey key;          ///< owns the name the slices point into
-    std::size_t max_referrals = 0;  ///< this exchange's referral budget —
-                                    ///< part of the coalescing identity
     bool refresh = false;  ///< background lease renewal: no waiters, does
                            ///< not count as a resolution
     EntityId current;      ///< context the current hop asks about
@@ -314,15 +297,10 @@ class ResolverClient {
     std::vector<Waiter> waiters;   ///< everyone settled by this exchange
   };
 
-  ResolveHandle resolve_async_impl(EntityId start, const CompoundName& name,
-                                   const ResolveOptions& options,
-                                   ResolveCallback callback);
   /// Create the wire exchange for `key` and index it in inflight_; the
-  /// caller attaches waiters and then calls start_hop. Returns nullptr
-  /// (with `*error` set) when the exchange cannot even start — no local
-  /// server, dead endpoints.
-  PendingResolve* launch_exchange(CacheKey key, std::size_t max_referrals,
-                                  bool refresh, Status* error);
+  /// caller attaches waiters and then calls start_hop. Fails when the
+  /// exchange cannot even start — no local server, dead endpoints.
+  Result<PendingResolve*> launch_exchange(CacheKey key, bool refresh);
 
   // Engine continuations, in the order a lossless resolution runs them.
   void start_hop(PendingResolve& p);
@@ -340,12 +318,10 @@ class ResolverClient {
   void fail_candidate(PendingResolve& p, Status error);
   /// Membership healing (attach_membership). Checks the current target
   /// against the directory; may rewrite its pid in place, restart the hop
-  /// with fresh candidates, or fail the candidate. True = control flow
-  /// was taken over and send_attempt must return without sending.
+  /// with candidates re-derived from the authority map, or fail the
+  /// candidate. True = control flow was taken over and send_attempt must
+  /// return without sending.
   bool heal_target(PendingResolve& p);
-  /// Re-derive this hop's candidates from the authority map (the
-  /// departed-machine recovery path) and restart the hop.
-  void reroute_hop(PendingResolve& p);
   /// Forget learned shard routes through `machine` (it left the fabric).
   void purge_routes(MachineId machine);
   /// Rewrite learned shard routes through `machine` to its fresh pid.
@@ -353,6 +329,9 @@ class ResolverClient {
                       std::uint64_t incarnation);
   /// The membership incarnation to stamp a freshly minted route with.
   [[nodiscard]] std::uint64_t member_incarnation(MachineId machine) const;
+  /// The route to `machine`'s server, stamped with its membership
+  /// incarnation; fails when it has no server or an endpoint is dead.
+  [[nodiscard]] Result<ReplicaRef> route_to(MachineId machine) const;
   /// Detach the request from every engine map, then settle all waiters.
   void complete(PendingResolve& p, const Result<EntityId>& result);
   /// Close the waiter's span, count failures, store the result, invoke the
@@ -370,7 +349,12 @@ class ResolverClient {
   /// insert with LRU eviction; high-water epoch bookkeeping. `span` is the
   /// probing waiter's span, for kStaleEpochDrop attribution.
   const CacheEntry* cache_lookup(const CacheKey& key, std::uint64_t span);
-  void cache_insert(const CacheKey& key, CacheEntry entry);
+  /// Cache `reply` (answer or error) for `ttl` (0: not at all), with its lease.
+  void cache_reply(const CacheKey& key, const ResolveReply& reply,
+                   SimDuration ttl);
+  /// The lease lapsed or its renewal failed: the entry rides out its plain
+  /// TTL, the pre-lease bound, from now on.
+  void degrade_lease(EntityId start, CacheEntry& entry, std::uint64_t span);
   void note_epoch(EntityId authority, std::uint64_t epoch);
 
   const NamingGraph& graph_;
@@ -395,7 +379,6 @@ class ResolverClient {
   Counter* stale_replies_dropped_;
   Counter* failovers_;
   Counter* coalesced_;
-  Counter* coalesce_rejected_;  ///< identical key, incompatible options
   Counter* invalidates_received_;
   Counter* lease_renewals_;     ///< background refresh exchanges launched
   Counter* lease_degrades_;     ///< lease lapsed / renewal failed → TTL
@@ -403,7 +386,6 @@ class ResolverClient {
   // "ns.shard.*" — one set shared by every client on the registry, since
   // the fabric-level question ("how many referrals crossed shards?") spans
   // clients.
-  Counter* delegations_chased_;  ///< referrals whose shard was learned
   Counter* glue_hits_;           ///< next hop's candidates: a learned route
   Counter* cross_shard_hops_;    ///< hop moved to a different shard
   Counter* route_reuses_;        ///< first hop reused a learned shard route
@@ -453,11 +435,8 @@ class ResolverClient {
   std::uint64_t next_request_id_ = 1;
   std::unordered_map<std::uint64_t, std::unique_ptr<PendingResolve>>
       requests_;
-  /// Identical-lookup index for coalescing: key → live requests. Usually
-  /// one; more when per-request options forbade attaching to the first
-  /// (each option variant runs its own exchange).
-  std::unordered_map<CacheKey, std::vector<PendingResolve*>, CacheKeyHash>
-      inflight_;
+  /// Identical-lookup index for coalescing: key → its one live exchange.
+  std::unordered_map<CacheKey, PendingResolve*, CacheKeyHash> inflight_;
   /// Currently-awaited correlation ids → owning request id.
   std::unordered_map<std::uint64_t, std::uint64_t> corr_to_request_;
   MachineId client_machine_;  ///< where this client endpoint lives

