@@ -82,7 +82,7 @@ void run_experiment() {
     auto measure = [&](const std::vector<CompoundName>& names,
                        ResolverClientConfig cfg, bool warm,
                        const std::string& label) {
-      ResolverClient client(w.graph, w.net, w.transport, w.sim, w.service,
+      ResolverClient client(w.net, w.transport, w.sim, w.service,
                             w.m1, "c", cfg);
       if (warm) {
         for (const auto& n : names) (void)client.resolve(w.root, n);
@@ -123,7 +123,7 @@ void run_experiment() {
       ResolverClientConfig cfg;
       cfg.cache_ttl = ttl;
       cfg.epoch_invalidation = invalidation;
-      ResolverClient client(w.graph, w.net, w.transport, w.sim, w.service,
+      ResolverClient client(w.net, w.transport, w.sim, w.service,
                             w.m1, "c", cfg);
       Context root_ctx = FileSystem::make_process_context(w.root, w.root);
       EntityId local_dir = w.fs.resolve_path(root_ctx, "/local").entity;
@@ -178,7 +178,7 @@ void run_experiment() {
     cfg.cache_ttl = 1u << 30;
     cfg.negative_cache_ttl = 500;
     cfg.cache_capacity = capacity;
-    ResolverClient client(w.graph, w.net, w.transport, w.sim, w.service,
+    ResolverClient client(w.net, w.transport, w.sim, w.service,
                           w.m1, "c", cfg);
     std::vector<CompoundName> mixed;
     for (int i = 0; i < 24; ++i) {
@@ -221,7 +221,7 @@ void run_experiment() {
 
 void BM_RemoteResolveUncached(benchmark::State& state) {
   NsWorld w;
-  ResolverClient client(w.graph, w.net, w.transport, w.sim, w.service, w.m1,
+  ResolverClient client(w.net, w.transport, w.sim, w.service, w.m1,
                         "c");
   std::size_t i = 0;
   for (auto _ : state) {
@@ -236,7 +236,7 @@ void BM_RemoteResolveCached(benchmark::State& state) {
   NsWorld w;
   ResolverClientConfig cfg;
   cfg.cache_ttl = 1u << 30;
-  ResolverClient client(w.graph, w.net, w.transport, w.sim, w.service, w.m1,
+  ResolverClient client(w.net, w.transport, w.sim, w.service, w.m1,
                         "c", cfg);
   for (const auto& n : w.remote_names) (void)client.resolve(w.root, n);
   std::size_t i = 0;
@@ -282,7 +282,7 @@ int run_observability_export(const std::string& trace_path,
   cfg.cache_ttl = 10000;
   cfg.retry.retries = 2;
   cfg.retry.request_timeout = 100;
-  ResolverClient client(w.graph, w.net, w.transport, w.sim, w.service, w.m1,
+  ResolverClient client(w.net, w.transport, w.sim, w.service, w.m1,
                         "trace", cfg);
   for (const auto& name : w.local_names) (void)client.resolve(w.root, name);
   for (const auto& name : w.remote_names) (void)client.resolve(w.root, name);

@@ -114,7 +114,7 @@ void run_experiment() {
     cfg.retry.request_timeout = 300;
     cfg.retry.retries = 1;
     cfg.replica_quarantine = 2000;  // re-probe the corpse periodically
-    ResolverClient client(w.graph, w.net, w.transport, w.sim, w.service,
+    ResolverClient client(w.net, w.transport, w.sim, w.service,
                           w.m1, "avail", cfg);
     Rng rng(17);
     struct Phase {
@@ -216,7 +216,7 @@ void run_experiment() {
     ResolverClientConfig cfg;
     cfg.retry.request_timeout = 300;
     cfg.retry.retries = 1;
-    ResolverClient client(w.graph, w.net, w.transport, w.sim, w.service,
+    ResolverClient client(w.net, w.transport, w.sim, w.service,
                           w.m1, "stale", cfg);
     CoherenceAnalyzer analyzer(w.graph);
     std::uint64_t same = 0, weak = 0, different = 0, unresolved = 0;
@@ -277,7 +277,7 @@ void BM_ResolveViaSecondary(benchmark::State& state) {
   ResolverClientConfig cfg;
   cfg.retry.request_timeout = 300;
   cfg.retry.retries = 1;
-  ResolverClient client(w.graph, w.net, w.transport, w.sim, w.service, w.m1,
+  ResolverClient client(w.net, w.transport, w.sim, w.service, w.m1,
                         "bench", cfg);
   // Pay the one-time failover before measuring.
   (void)client.resolve(w.root, w.remote_names[0]);

@@ -84,7 +84,7 @@ void run_experiment() {
   // Part 1: serial vs pipelined issue of 64 distinct four-hop lookups.
   {
     X5World w;
-    ResolverClient client(w.graph, w.net, w.transport, w.sim, w.service,
+    ResolverClient client(w.net, w.transport, w.sim, w.service,
                           w.m1, "pipe");
 
     SimTime t0 = w.sim.now();
@@ -132,7 +132,7 @@ void run_experiment() {
   // Part 2: a burst of identical lookups coalesces onto one exchange.
   {
     X5World w;
-    ResolverClient client(w.graph, w.net, w.transport, w.sim, w.service,
+    ResolverClient client(w.net, w.transport, w.sim, w.service,
                           w.m1, "burst");
     std::vector<ResolveHandle> handles;
     for (int i = 0; i < kFiles; ++i) {
@@ -165,7 +165,7 @@ void run_experiment() {
     for (std::size_t activities : {std::size_t(1), std::size_t(4),
                                    std::size_t(16), std::size_t(64)}) {
       X5World w;
-      ResolverClient client(w.graph, w.net, w.transport, w.sim, w.service,
+      ResolverClient client(w.net, w.transport, w.sim, w.service,
                             w.m1, "loop");
       std::vector<ParallelQuery> queries;
       for (const CompoundName& name : w.names) {
@@ -196,7 +196,7 @@ void run_experiment() {
 void BM_PipelinedBatch(benchmark::State& state) {
   // Host cost of driving 64 overlapping four-hop chains to completion.
   X5World w;
-  ResolverClient client(w.graph, w.net, w.transport, w.sim, w.service, w.m1,
+  ResolverClient client(w.net, w.transport, w.sim, w.service, w.m1,
                         "bench");
   for (auto _ : state) {
     std::vector<ResolveHandle> handles;
@@ -215,7 +215,7 @@ BENCHMARK(BM_PipelinedBatch);
 void BM_CoalescedBurst(benchmark::State& state) {
   // Host cost of a 64-wide identical burst: one exchange + 63 attaches.
   X5World w;
-  ResolverClient client(w.graph, w.net, w.transport, w.sim, w.service, w.m1,
+  ResolverClient client(w.net, w.transport, w.sim, w.service, w.m1,
                         "bench");
   for (auto _ : state) {
     std::vector<ResolveHandle> handles;
@@ -234,7 +234,7 @@ BENCHMARK(BM_CoalescedBurst);
 void BM_ClosedLoop64(benchmark::State& state) {
   // One closed-loop pass: 256 lookups at multiprogramming level 64.
   X5World w;
-  ResolverClient client(w.graph, w.net, w.transport, w.sim, w.service, w.m1,
+  ResolverClient client(w.net, w.transport, w.sim, w.service, w.m1,
                         "bench");
   std::vector<ParallelQuery> queries;
   for (const CompoundName& name : w.names) queries.push_back({w.root, name});

@@ -118,7 +118,7 @@ struct RunOutcome {
 /// and the rebound one first — served.
 RunOutcome run_policy(CachePolicy policy, bool partitioned) {
   X6World w;
-  ResolverClient client(w.graph, w.net, w.transport, w.sim, w.service, w.m1,
+  ResolverClient client(w.net, w.transport, w.sim, w.service, w.m1,
                         "x6", config_for(policy));
   const CompoundName target = CompoundName::relative("shared/proj/readme");
   auto primed = client.resolve(w.root, target);
@@ -248,7 +248,7 @@ void BM_CacheHitPlain(benchmark::State& state) {
   // Steady-state cache hit with leases off: the baseline the lease-mode
   // hit path is measured against.
   X6World w;
-  ResolverClient client(w.graph, w.net, w.transport, w.sim, w.service, w.m1,
+  ResolverClient client(w.net, w.transport, w.sim, w.service, w.m1,
                         "bench", config_for(CachePolicy::kTtlOnly));
   const CompoundName target = CompoundName::relative("shared/proj/readme");
   (void)client.resolve(w.root, target);
@@ -264,7 +264,7 @@ void BM_CacheHitLeased(benchmark::State& state) {
   // (maybe_renew) per hit. The simulated clock never advances here, so the
   // term stays comfortable and no renewal traffic is generated.
   X6World w;
-  ResolverClient client(w.graph, w.net, w.transport, w.sim, w.service, w.m1,
+  ResolverClient client(w.net, w.transport, w.sim, w.service, w.m1,
                         "bench", config_for(CachePolicy::kLeasePush));
   const CompoundName target = CompoundName::relative("shared/proj/readme");
   (void)client.resolve(w.root, target);
@@ -278,7 +278,7 @@ BENCHMARK(BM_CacheHitLeased);
 void BM_InvalidateRoundTrip(benchmark::State& state) {
   // One full coherence cycle: rebind, push the callback, client refetches.
   X6World w;
-  ResolverClient client(w.graph, w.net, w.transport, w.sim, w.service, w.m1,
+  ResolverClient client(w.net, w.transport, w.sim, w.service, w.m1,
                         "bench", config_for(CachePolicy::kLeasePush));
   const CompoundName target = CompoundName::relative("shared/proj/readme");
   (void)client.resolve(w.root, target);

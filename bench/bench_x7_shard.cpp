@@ -232,7 +232,7 @@ void run_experiment() {
       "server charges " +
           std::to_string(kServiceTime) +
           " ticks per request, so the single shard is a queueing\n"
-          "bottleneck; the fabric divides the work while v5 referral glue "
+          "bottleneck; the fabric divides the work while referral glue "
           "keeps the\nhop count flat (docs/SHARDING.md).");
 
   X7Fabric fabric(s);
@@ -375,7 +375,7 @@ void BM_ShardedResolve(benchmark::State& state) {
   ResolverClientConfig cfg;
   cfg.cache_ttl = 0;
   cfg.shard_routing = true;
-  ResolverClient client(graph, net, transport, sim, service, m1, "bench", cfg);
+  ResolverClient client(net, transport, sim, service, m1, "bench", cfg);
   const CompoundName target = CompoundName::relative("c0/c1/c2");
   for (auto _ : state) {
     benchmark::DoNotOptimize(client.resolve(root, target));

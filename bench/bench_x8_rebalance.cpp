@@ -26,6 +26,7 @@
 
 #include "bench_common.hpp"
 #include "core/graph_ops.hpp"
+#include "ns/ns_wire.hpp"
 #include "ns/rebalance.hpp"
 #include "ns/resolver_client.hpp"
 #include "ns/shard_ring.hpp"
@@ -415,6 +416,34 @@ void BM_SnapshotPushApply(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_SnapshotPushApply);
+
+void BM_UpdatePushCodec(benchmark::State& state) {
+  // The codec share of one migration copy, with no simulator or service:
+  // the same 9-binding kUpdatePush encoded, framed, decoded and read back
+  // into interned bindings.
+  std::vector<Binding> bindings;
+  for (int i = 0; i < 8; ++i) {
+    bindings.push_back(Binding{Name("entry" + std::to_string(i)), EntityId(1)});
+  }
+  bindings.push_back(Binding{Name("moving"), EntityId(2)});
+  const EntityId ctx(7);
+  std::uint64_t epoch = 0;
+  for (auto _ : state) {
+    const Message sent = encode_update_push(ctx, ++epoch, bindings);
+    const std::vector<std::uint8_t> frame = sent.payload.encode();
+    auto payload = Payload::decode(std::span<const std::uint8_t>(frame));
+    NAMECOH_CHECK(payload.is_ok(), "bench push frame refused");
+    Message received;
+    received.type = sent.type;
+    received.payload = std::move(payload).value();
+    auto push = decode_update_push(received);
+    NAMECOH_CHECK(push.has_value() && push->bindings.size() == 9,
+                  "bench push did not decode");
+    benchmark::DoNotOptimize(push);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_UpdatePushCodec);
 
 void BM_ReplicaEpochProbe(benchmark::State& state) {
   // A catch-up check's probes: replica_epoch for every context of a

@@ -96,7 +96,7 @@ Status Transport::send(EndpointId from, const Pid& to, Message message) {
   }
 
   sent_->inc();
-  std::vector<std::uint8_t> frame = message.payload.encode();
+  std::vector<std::uint8_t> frame = std::move(message.payload).take_frame();
   bytes_sent_->inc(frame.size());
   tracer_.record(sim_.now(), EventKind::kSend, message.trace_corr,
                  from.value(), frame.size());
@@ -190,7 +190,7 @@ void Transport::deliver(EndpointId intended, Location target,
                    receiver.value());
   }
 
-  auto payload = Payload::decode(frame);
+  auto payload = Payload::decode(std::move(frame));
   if (!payload.is_ok()) {
     NAMECOH_ERROR("wire decode failed: " << payload.status());
     return;
@@ -209,14 +209,15 @@ void Transport::deliver(EndpointId intended, Location target,
   // R(sender): rebase every embedded pid from the sender's context (at send
   // time) to the receiver's context. With the remap disabled, embedded pids
   // arrive verbatim and mean whatever they happen to mean at the receiver —
-  // the §6 incoherence.
+  // the §6 incoherence. The frame is rewritten only where a pid changes.
   if (config_.remap_embedded_pids) {
-    for (std::size_t i : message.payload.pid_indices()) {
-      auto rebased =
-          rebase(message.payload.pid_at(i), sender_at_send,
-                 receiver_loc.value());
+    Payload& fields = message.payload;
+    for (std::size_t i = 0; i < fields.size(); ++i) {
+      if (fields.type_at(i) != FieldType::kPid) continue;
+      const Pid sent = fields.pid_at(i);
+      auto rebased = rebase(sent, sender_at_send, receiver_loc.value());
       if (rebased.is_ok()) {
-        message.payload.set_pid(i, rebased.value());
+        if (rebased.value() != sent) fields.set_pid(i, rebased.value());
         pids_remapped_->inc();
       } else {
         remap_failures_->inc();

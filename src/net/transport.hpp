@@ -7,8 +7,10 @@
 //     field in the payload is rebased from the sender's context to the
 //     receiver's. The remap can be disabled to reproduce the incoherence the
 //     paper warns about;
-//   * full wire round-trip: payloads are encoded and decoded on every hop so
-//     the codec is exercised by every integration test and experiment;
+//   * real frames: a payload is its encoded frame, which the transport
+//     sends as is; the receiver gets it back through Payload::decode's
+//     strict validate-and-index pass, so the codec is exercised by every
+//     integration test and experiment without re-encoding on any hop;
 //   * latency by locality (intra-machine / intra-network / inter-network)
 //     and optional drop probability, all on the deterministic simulator.
 #pragma once

@@ -28,10 +28,10 @@ class Cursor {
   }
   bool name(std::string* out) {
     if (!next_is(FieldType::kName)) return false;
-    *out = payload_.name_at(at_++);
+    out->assign(payload_.name_at(at_++));
     return true;
   }
-  /// A view into the payload's own field: valid while the payload lives.
+  /// A view into the payload's frame: valid while the payload lives.
   bool name(std::string_view* out) {
     if (!next_is(FieldType::kName)) return false;
     *out = payload_.name_at(at_++);
@@ -39,7 +39,7 @@ class Cursor {
   }
   bool string(std::string* out) {
     if (!next_is(FieldType::kString)) return false;
-    *out = payload_.string_at(at_++);
+    out->assign(payload_.string_at(at_++));
     return true;
   }
   /// `[count, (pid, machine)×count]`; every machine must be a valid id.
@@ -163,7 +163,14 @@ Message encode_update_push(EntityId ctx, std::uint64_t epoch,
                            std::span<const Binding> bindings) {
   Message message;
   message.type = NsWire::kUpdatePush;
-  message.payload.reserve(3 + 2 * bindings.size());
+  // Sized exactly first, then each binding's text is written straight
+  // from its interned Name: one allocation per push.
+  std::size_t bytes = u64_field_size(ctx.value()) + u64_field_size(epoch) +
+                      u64_field_size(bindings.size());
+  for (const Binding& b : bindings) {
+    bytes += text_field_size(b.name.text()) + u64_field_size(b.entity.value());
+  }
+  message.payload.reserve(3 + 2 * bindings.size(), bytes);
   message.payload.add_u64(ctx.value());
   message.payload.add_u64(epoch);
   message.payload.add_u64(bindings.size());

@@ -31,13 +31,11 @@ std::optional<NameSlice> referral_suffix(NameSlice sent,
   return candidate;
 }
 
-ResolverClient::ResolverClient(const NamingGraph& graph, Internetwork& net,
-                               Transport& transport, Simulator& sim,
-                               const NameService& service, MachineId machine,
-                               std::string label,
+ResolverClient::ResolverClient(Internetwork& net, Transport& transport,
+                               Simulator& sim, const NameService& service,
+                               MachineId machine, std::string label,
                                ResolverClientConfig config)
-    : graph_(graph),
-      net_(net),
+    : net_(net),
       transport_(transport),
       sim_(sim),
       service_(service),

@@ -148,8 +148,7 @@ using ResolveCallback = std::function<void(const Result<EntityId>&)>;
 /// the authoritative servers, following referrals.
 class ResolverClient {
  public:
-  ResolverClient(const NamingGraph& graph, Internetwork& net,
-                 Transport& transport, Simulator& sim,
+  ResolverClient(Internetwork& net, Transport& transport, Simulator& sim,
                  const NameService& service, MachineId machine,
                  std::string label, ResolverClientConfig config = {});
   ~ResolverClient();
@@ -357,7 +356,6 @@ class ResolverClient {
   void degrade_lease(EntityId start, CacheEntry& entry, std::uint64_t span);
   void note_epoch(EntityId authority, std::uint64_t epoch);
 
-  const NamingGraph& graph_;
   Internetwork& net_;
   Transport& transport_;
   Simulator& sim_;

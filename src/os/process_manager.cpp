@@ -51,7 +51,8 @@ void ProcessManager::install_handler(ProcessId process) {
         if (message.type == kMsgName) {
           for (std::size_t i : message.payload.name_indices()) {
             received_names_.push_back(ReceivedName{
-                process, sender, message.payload.name_at(i), now});
+                process, sender, std::string(message.payload.name_at(i)),
+                now});
           }
         } else if (message.type == kMsgPid) {
           for (std::size_t i : message.payload.pid_indices()) {

@@ -30,7 +30,8 @@ void ServiceRegistry::handle(EndpointId self, const Message& message) {
       }
       ++stats_.registers;
       // The pid arrived rebased into *our* context (R(sender) remap).
-      table_[message.payload.string_at(0)] = message.payload.pid_at(1);
+      table_[std::string(message.payload.string_at(0))] =
+          message.payload.pid_at(1);
       break;
     }
     case RegistryWire::kUnregister: {
@@ -39,7 +40,7 @@ void ServiceRegistry::handle(EndpointId self, const Message& message) {
         return;
       }
       ++stats_.unregisters;
-      table_.erase(message.payload.string_at(0));
+      table_.erase(std::string(message.payload.string_at(0)));
       break;
     }
     case RegistryWire::kLookup: {

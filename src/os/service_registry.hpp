@@ -19,6 +19,7 @@
 // that lie (testable, and tested).
 #pragma once
 
+#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -62,7 +63,8 @@ class ServiceRegistry {
   Transport& transport_;
   EndpointId endpoint_;
   RegistryStats stats_;
-  std::map<std::string, Pid> table_;  // pids valid in the registry's context
+  // Pids valid in the registry's context; looked up by string_view.
+  std::map<std::string, Pid, std::less<>> table_;
 };
 
 /// Client-side helpers: register/lookup on behalf of a process, driving the

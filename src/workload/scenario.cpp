@@ -178,7 +178,7 @@ std::unique_ptr<Cluster> ScenarioBuilder::build() {
     std::string label = label_;
     if (clients_ > 1) label += std::to_string(c);
     auto client = std::make_unique<ResolverClient>(
-        graph_, cluster->net_, cluster->transport_, cluster->sim_, service,
+        cluster->net_, cluster->transport_, cluster->sim_, service,
         cluster->client_machines_[c], label, client_config_);
     if (cluster->membership_ != nullptr) {
       client->attach_membership(cluster->membership_.get());

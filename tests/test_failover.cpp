@@ -175,7 +175,7 @@ TEST_F(FailoverTest, AntiEntropyCatchesLaggingSecondaryUp) {
 TEST_F(FailoverTest, CrashedPrimaryDuringReferralChaseFailsOverToSecondary) {
   sync_replicas();
   faults_.crash(m2_.value());
-  ResolverClient client(graph_, net_, transport_, sim_, service_, m1_, "c",
+  ResolverClient client(net_, transport_, sim_, service_, m1_, "c",
                         fast_config());
   // m1 refers the chase to shared's primary m2 (crashed); the client must
   // exhaust m2's backoff budget, fail over to m3, and complete from its
@@ -195,7 +195,7 @@ TEST_F(FailoverTest, CrashedPrimaryDuringReferralChaseFailsOverToSecondary) {
 TEST_F(FailoverTest, QuarantinedReplicaIsNotRetriedOnTheNextResolution) {
   sync_replicas();
   faults_.crash(m2_.value());
-  ResolverClient client(graph_, net_, transport_, sim_, service_, m1_, "c",
+  ResolverClient client(net_, transport_, sim_, service_, m1_, "c",
                         fast_config());
   ASSERT_TRUE(
       client.resolve(root_, CompoundName::relative("shared/proj/readme"))
@@ -214,7 +214,7 @@ TEST_F(FailoverTest, QuarantinedReplicaIsNotRetriedOnTheNextResolution) {
 TEST_F(FailoverTest, FailoverLatencyHistogramRecordsFailedOverHops) {
   sync_replicas();
   faults_.crash(m2_.value());
-  ResolverClient client(graph_, net_, transport_, sim_, service_, m1_, "c",
+  ResolverClient client(net_, transport_, sim_, service_, m1_, "c",
                         fast_config());
   ASSERT_TRUE(
       client.resolve(root_, CompoundName::relative("shared/proj/readme"))
@@ -241,7 +241,7 @@ TEST_F(FailoverTest, SecondaryServesStaleAnswerThenCatchesUp) {
   ASSERT_GT(new_epoch, old_epoch);
 
   faults_.crash(m2_.value());
-  ResolverClient client(graph_, net_, transport_, sim_, service_, m1_, "c",
+  ResolverClient client(net_, transport_, sim_, service_, m1_, "c",
                         fast_config());
   auto stale =
       client.resolve(root_, CompoundName::relative("shared/proj/readme"));
@@ -269,7 +269,7 @@ TEST_F(FailoverTest, PartitionHealsThenStaleCacheEntryIsInvalidated) {
   ResolverClientConfig config = fast_config();
   config.cache_ttl = 1'000'000;  // far beyond the test's horizon
   config.epoch_invalidation = true;
-  ResolverClient client(graph_, net_, transport_, sim_, service_, m1_, "c",
+  ResolverClient client(net_, transport_, sim_, service_, m1_, "c",
                         config);
 
   // Cut update propagation, rebind, and publish into the partition: the
@@ -356,7 +356,7 @@ faulted_run_signature() {
   ResolverClientConfig config;
   config.retry.request_timeout = 300;
   config.retry.retries = 2;
-  ResolverClient client(graph, net, transport, sim, service, m1, "det",
+  ResolverClient client(net, transport, sim, service, m1, "det",
                         config);
   for (int i = 0; i < 12; ++i) {
     (void)client.resolve(root, CompoundName::relative("shared/proj/readme"));

@@ -98,7 +98,7 @@ class LeaseTest : public ::testing::Test {
 
 TEST_F(LeaseTest, AnswerFromPrimaryGrantsLeaseReferralDoesNot) {
   transport_.tracer().set_enabled(true);
-  ResolverClient client(graph_, net_, transport_, sim_, service_, m1_, "c",
+  ResolverClient client(net_, transport_, sim_, service_, m1_, "c",
                         lease_config());
   auto result = client.resolve(root_, readme_name());
   ASSERT_TRUE(result.is_ok()) << result.status();
@@ -120,7 +120,7 @@ TEST_F(LeaseTest, LeaseOffClientRequestsNoLeaseAndGetsNone) {
   // server's lease table stays empty.
   ResolverClientConfig config;
   config.cache_ttl = 10000;
-  ResolverClient client(graph_, net_, transport_, sim_, service_, m1_, "c",
+  ResolverClient client(net_, transport_, sim_, service_, m1_, "c",
                         config);
   auto result = client.resolve(root_, readme_name());
   ASSERT_TRUE(result.is_ok()) << result.status();
@@ -135,7 +135,7 @@ TEST_F(LeaseTest, LeaseOffClientRequestsNoLeaseAndGetsNone) {
 
 TEST_F(LeaseTest, RebindPushesInvalidateAndDropsTheStaleEntry) {
   transport_.tracer().set_enabled(true);
-  ResolverClient client(graph_, net_, transport_, sim_, service_, m1_, "c",
+  ResolverClient client(net_, transport_, sim_, service_, m1_, "c",
                         lease_config());
   ASSERT_TRUE(client.resolve(root_, readme_name()).is_ok());
 
@@ -171,11 +171,11 @@ TEST_F(LeaseTest, LeaseClientSeesRebindWhileTtlClientServesStale) {
   // The comparative claim behind bench_x6: with identical TTLs, the leased
   // client's window is one push transit while the TTL-only client rides
   // out its full TTL.
-  ResolverClient leased(graph_, net_, transport_, sim_, service_, m1_,
+  ResolverClient leased(net_, transport_, sim_, service_, m1_,
                         "leased", lease_config());
   ResolverClientConfig ttl_only_config;
   ttl_only_config.cache_ttl = 10000;
-  ResolverClient ttl_only(graph_, net_, transport_, sim_, service_, m1_,
+  ResolverClient ttl_only(net_, transport_, sim_, service_, m1_,
                           "ttl", ttl_only_config);
   ASSERT_TRUE(leased.resolve(root_, readme_name()).is_ok());
   ASSERT_TRUE(ttl_only.resolve(root_, readme_name()).is_ok());
@@ -197,7 +197,7 @@ TEST_F(LeaseTest, LeaseClientSeesRebindWhileTtlClientServesStale) {
 
 TEST_F(LeaseTest, HitNearExpiryRenewsTheLeaseInTheBackground) {
   service_.set_lease_policy(400);  // default renew margin: 100
-  ResolverClient client(graph_, net_, transport_, sim_, service_, m1_, "c",
+  ResolverClient client(net_, transport_, sim_, service_, m1_, "c",
                         lease_config());
   ASSERT_TRUE(client.resolve(root_, readme_name()).is_ok());
   // Settled at t=110 with the lease term running to ~510.
@@ -232,7 +232,7 @@ TEST_F(LeaseTest, HitNearExpiryRenewsTheLeaseInTheBackground) {
 
 TEST_F(LeaseTest, HitWithPlentyOfTermLeftDoesNotRenew) {
   service_.set_lease_policy(5000);
-  ResolverClient client(graph_, net_, transport_, sim_, service_, m1_, "c",
+  ResolverClient client(net_, transport_, sim_, service_, m1_, "c",
                         lease_config());
   ASSERT_TRUE(client.resolve(root_, readme_name()).is_ok());
   ASSERT_TRUE(client.resolve(root_, readme_name()).is_ok());
@@ -252,7 +252,7 @@ TEST_F(LeaseTest, LookupCoalescesOntoBackgroundLeaseRefresh) {
   config.cache_ttl = 600;
   config.retry.request_timeout = 300;
   config.retry.retries = 2;
-  ResolverClient client(graph_, net_, transport_, sim_, service_, m1_, "c",
+  ResolverClient client(net_, transport_, sim_, service_, m1_, "c",
                         config);
   ASSERT_TRUE(client.resolve(root_, readme_name()).is_ok());
   // Settled at t=110: lease to 510, TTL to 710.
@@ -312,7 +312,7 @@ TEST_F(LeaseTest, PartitionDegradesLeaseToPlainTtl) {
   config.cache_ttl = 5000;
   config.retry.request_timeout = 300;
   config.retry.retries = 0;
-  ResolverClient client(graph_, net_, transport_, sim_, service_, m1_, "c",
+  ResolverClient client(net_, transport_, sim_, service_, m1_, "c",
                         config);
   ASSERT_TRUE(client.resolve(root_, readme_name()).is_ok());
   // Settled at t=110: lease to ~1110, TTL to ~5110.
@@ -371,7 +371,7 @@ TEST_F(LeaseTest, EpochTableIsBoundedLru) {
 
   ResolverClientConfig config;  // cache off: every resolve notes epochs
   config.epoch_table_capacity = 4;
-  ResolverClient client(graph_, net_, transport_, sim_, service_, m1_, "c",
+  ResolverClient client(net_, transport_, sim_, service_, m1_, "c",
                         config);
   for (int i = 0; i < 8; ++i) {
     const std::string path = "shared/d" + std::to_string(i) + "/f";
@@ -389,7 +389,7 @@ TEST_F(LeaseTest, EpochTableIsBoundedLru) {
 TEST_F(LeaseTest, EntryExpiresAtExactlyItsTtlBoundary) {
   ResolverClientConfig config;
   config.cache_ttl = 500;
-  ResolverClient client(graph_, net_, transport_, sim_, service_, m1_, "c",
+  ResolverClient client(net_, transport_, sim_, service_, m1_, "c",
                         config);
   ASSERT_TRUE(
       client.resolve(root_, CompoundName::relative("local/data.txt")).is_ok());
@@ -415,7 +415,7 @@ TEST_F(LeaseTest, EntryExpiresAtExactlyItsTtlBoundary) {
 TEST_F(LeaseTest, NegativeEntryIsInvalidatedByEpochBumpPush) {
   ResolverClientConfig config = lease_config();
   config.negative_cache_ttl = 10000;
-  ResolverClient client(graph_, net_, transport_, sim_, service_, m1_, "c",
+  ResolverClient client(net_, transport_, sim_, service_, m1_, "c",
                         config);
   auto miss = client.resolve(root_, CompoundName::relative("shared/proj/ghost"));
   ASSERT_FALSE(miss.is_ok());
@@ -444,7 +444,7 @@ TEST_F(LeaseTest, NegativeEntryIsInvalidatedByEpochBumpPush) {
 }
 
 TEST_F(LeaseTest, InvalidateArrivingWithSameTickProbeWinsTheRace) {
-  ResolverClient client(graph_, net_, transport_, sim_, service_, m1_, "c",
+  ResolverClient client(net_, transport_, sim_, service_, m1_, "c",
                         lease_config());
   ASSERT_TRUE(client.resolve(root_, readme_name()).is_ok());
 
@@ -481,7 +481,7 @@ TEST_F(LeaseTest, SeededReorderWindowDelaysButConverges) {
   ResolverClientConfig config = lease_config();
   config.retry.request_timeout = 500;
   config.retry.retries = 2;
-  ResolverClient client(graph_, net_, transport_, sim_, service_, m1_, "c",
+  ResolverClient client(net_, transport_, sim_, service_, m1_, "c",
                         config);
   ASSERT_TRUE(client.resolve(root_, readme_name()).is_ok());
 
@@ -532,7 +532,7 @@ TEST(LeaseReplicationTest, PrimaryOwnsInvalidationSecondariesHoldNoLeases) {
   ResolverClientConfig config;
   config.cache_ttl = 10000;
   config.lease_coherence = true;
-  ResolverClient client(graph, net, transport, sim, service, m1, "c", config);
+  ResolverClient client(net, transport, sim, service, m1, "c", config);
   ASSERT_TRUE(
       client.resolve(root, CompoundName::relative("shared/proj/readme"))
           .is_ok());

@@ -71,7 +71,7 @@ TEST_F(NameServiceTest, AuthorityMapDoesNotOverrideForeignAuthority) {
 }
 
 TEST_F(NameServiceTest, LocalResolutionNoReferral) {
-  ResolverClient client(graph_, net_, transport_, sim_, service_, m1_, "c");
+  ResolverClient client(net_, transport_, sim_, service_, m1_, "c");
   auto result = client.resolve(root_, CompoundName::relative("local/data.txt"));
   ASSERT_TRUE(result.is_ok());
   EXPECT_EQ(graph_.data(result.value()), "local");
@@ -81,7 +81,7 @@ TEST_F(NameServiceTest, LocalResolutionNoReferral) {
 }
 
 TEST_F(NameServiceTest, CrossMachineResolutionViaReferral) {
-  ResolverClient client(graph_, net_, transport_, sim_, service_, m1_, "c");
+  ResolverClient client(net_, transport_, sim_, service_, m1_, "c");
   auto result =
       client.resolve(root_, CompoundName::relative("shared/proj/readme"));
   ASSERT_TRUE(result.is_ok());
@@ -100,7 +100,7 @@ TEST_F(NameServiceTest, ShardRoutingLearnsAOneMachineShardsRoute) {
   // lookup starting inside the shard goes straight there.
   ResolverClientConfig config;
   config.shard_routing = true;
-  ResolverClient client(graph_, net_, transport_, sim_, service_, m1_, "c",
+  ResolverClient client(net_, transport_, sim_, service_, m1_, "c",
                         config);
   auto result =
       client.resolve(root_, CompoundName::relative("shared/proj/readme"));
@@ -121,13 +121,13 @@ TEST_F(NameServiceTest, ShardRoutingLearnsAOneMachineShardsRoute) {
 TEST_F(NameServiceTest, ReferralFromRemoteClientMachine) {
   // A client on m3 (no authoritative data) still resolves: ... but m3 has
   // no server, so the first hop fails cleanly.
-  ResolverClient orphan(graph_, net_, transport_, sim_, service_, m3_, "o");
+  ResolverClient orphan(net_, transport_, sim_, service_, m3_, "o");
   auto res = orphan.resolve(root_, CompoundName::relative("local/data.txt"));
   EXPECT_FALSE(res.is_ok());
   EXPECT_EQ(res.code(), StatusCode::kUnreachable);
   // Give m3 a server: now its server refers immediately to m1.
   service_.add_server(m3_);
-  ResolverClient client(graph_, net_, transport_, sim_, service_, m3_, "c");
+  ResolverClient client(net_, transport_, sim_, service_, m3_, "c");
   auto result =
       client.resolve(root_, CompoundName::relative("local/data.txt"));
   ASSERT_TRUE(result.is_ok());
@@ -136,7 +136,7 @@ TEST_F(NameServiceTest, ReferralFromRemoteClientMachine) {
 }
 
 TEST_F(NameServiceTest, UnboundNameYieldsError) {
-  ResolverClient client(graph_, net_, transport_, sim_, service_, m1_, "c");
+  ResolverClient client(net_, transport_, sim_, service_, m1_, "c");
   auto result = client.resolve(root_, CompoundName::relative("ghost"));
   EXPECT_FALSE(result.is_ok());
   EXPECT_EQ(result.code(), StatusCode::kNotFound);
@@ -144,14 +144,14 @@ TEST_F(NameServiceTest, UnboundNameYieldsError) {
 }
 
 TEST_F(NameServiceTest, TraversalThroughFileYieldsError) {
-  ResolverClient client(graph_, net_, transport_, sim_, service_, m1_, "c");
+  ResolverClient client(net_, transport_, sim_, service_, m1_, "c");
   auto result =
       client.resolve(root_, CompoundName::relative("local/data.txt/deeper"));
   EXPECT_FALSE(result.is_ok());
 }
 
 TEST_F(NameServiceTest, AbsoluteNamesRejectedClientSide) {
-  ResolverClient client(graph_, net_, transport_, sim_, service_, m1_, "c");
+  ResolverClient client(net_, transport_, sim_, service_, m1_, "c");
   auto result = client.resolve(root_, CompoundName::path("/local"));
   EXPECT_FALSE(result.is_ok());
   EXPECT_EQ(result.code(), StatusCode::kInvalidArgument);
@@ -161,7 +161,7 @@ TEST_F(NameServiceTest, AbsoluteNamesRejectedClientSide) {
 TEST_F(NameServiceTest, AgreesWithLocalResolver) {
   // Remote resolution must compute the same function as the in-memory
   // resolver — the distributed implementation changes cost, not meaning.
-  ResolverClient client(graph_, net_, transport_, sim_, service_, m1_, "c");
+  ResolverClient client(net_, transport_, sim_, service_, m1_, "c");
   for (const char* path :
        {"local", "local/data.txt", "shared", "shared/proj",
         "shared/proj/readme"}) {
@@ -177,7 +177,7 @@ TEST_F(NameServiceTest, AgreesWithLocalResolver) {
 TEST_F(NameServiceTest, CacheHitSkipsNetwork) {
   ResolverClientConfig config;
   config.cache_ttl = 1000;
-  ResolverClient client(graph_, net_, transport_, sim_, service_, m1_, "c",
+  ResolverClient client(net_, transport_, sim_, service_, m1_, "c",
                         config);
   CompoundName name = CompoundName::relative("shared/proj/readme");
   auto first = client.resolve(root_, name);
@@ -194,7 +194,7 @@ TEST_F(NameServiceTest, CacheHitSkipsNetwork) {
 TEST_F(NameServiceTest, CacheExpiresByTtl) {
   ResolverClientConfig config;
   config.cache_ttl = 50;
-  ResolverClient client(graph_, net_, transport_, sim_, service_, m1_, "c",
+  ResolverClient client(net_, transport_, sim_, service_, m1_, "c",
                         config);
   CompoundName name = CompoundName::relative("local/data.txt");
   ASSERT_TRUE(client.resolve(root_, name).is_ok());
@@ -209,9 +209,9 @@ TEST_F(NameServiceTest, StaleCacheIsTemporalIncoherence) {
   // the old entity until the TTL lapses — incoherence with the authority.
   ResolverClientConfig config;
   config.cache_ttl = 1000;
-  ResolverClient caching(graph_, net_, transport_, sim_, service_, m1_, "c",
+  ResolverClient caching(net_, transport_, sim_, service_, m1_, "c",
                          config);
-  ResolverClient fresh(graph_, net_, transport_, sim_, service_, m1_, "f");
+  ResolverClient fresh(net_, transport_, sim_, service_, m1_, "f");
   CompoundName name = CompoundName::relative("local/data.txt");
   auto before = caching.resolve(root_, name);
   ASSERT_TRUE(before.is_ok());
@@ -240,7 +240,7 @@ TEST_F(NameServiceTest, StaleCacheIsTemporalIncoherence) {
 TEST_F(NameServiceTest, ClearCache) {
   ResolverClientConfig config;
   config.cache_ttl = 1000;
-  ResolverClient client(graph_, net_, transport_, sim_, service_, m1_, "c",
+  ResolverClient client(net_, transport_, sim_, service_, m1_, "c",
                         config);
   ASSERT_TRUE(
       client.resolve(root_, CompoundName::relative("local")).is_ok());
@@ -250,7 +250,7 @@ TEST_F(NameServiceTest, ClearCache) {
 }
 
 TEST_F(NameServiceTest, ResolutionLatencyAccumulatesOnSimClock) {
-  ResolverClient client(graph_, net_, transport_, sim_, service_, m1_, "c");
+  ResolverClient client(net_, transport_, sim_, service_, m1_, "c");
   SimTime t0 = sim_.now();
   ASSERT_TRUE(client.resolve(root_, CompoundName::relative("local")).is_ok());
   SimTime local_cost = sim_.now() - t0;
@@ -281,7 +281,7 @@ TEST_F(NameServiceTest, RetriesSurviveLossyNetwork) {
   lossy_service.add_server(m2_);
   ResolverClientConfig config;
   config.retry.retries = 16;
-  ResolverClient client(graph_, net_, drop_transport, sim_, lossy_service,
+  ResolverClient client(net_, drop_transport, sim_, lossy_service,
                         m1_, "c", config);
   auto result =
       client.resolve(root_, CompoundName::relative("shared/proj/readme"));
@@ -350,7 +350,7 @@ TEST_F(NameServiceTest, LostMessagesSurfaceAsUnreachable) {
   Transport drop_transport(sim_, net_, lossy);
   NameService lossy_service(graph_, net_, drop_transport, homes_);
   lossy_service.add_server(m1_);
-  ResolverClient client(graph_, net_, drop_transport, sim_, lossy_service,
+  ResolverClient client(net_, drop_transport, sim_, lossy_service,
                         m1_, "c");
   auto result = client.resolve(root_, CompoundName::relative("local"));
   EXPECT_FALSE(result.is_ok());

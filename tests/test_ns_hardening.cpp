@@ -175,7 +175,7 @@ TEST_F(NsHardeningTest, StaleReplyRejectedByCorrelationId) {
   // accepted any kResolveReply while waiting and would have returned the
   // wrong entity; the correlation id now rejects it and the client waits
   // for the genuine answer.
-  ResolverClient client(graph_, net_, transport_, sim_, service_, m1_, "c");
+  ResolverClient client(net_, transport_, sim_, service_, m1_, "c");
   WireProbe probe(net_, transport_, m1_);
   ResolveReply forged;
   forged.corr = 12345;  // matches no outstanding attempt
@@ -202,7 +202,7 @@ TEST_F(NsHardeningTest, MalformedReplyWithTheLiveCorrIsNotTrusted) {
   ResolverClientConfig config;
   config.retry.retries = 1;
   config.retry.request_timeout = 1000;
-  ResolverClient client(graph_, net_, transport_, sim_, service_, m1_, "c",
+  ResolverClient client(net_, transport_, sim_, service_, m1_, "c",
                         config);
   WireProbe probe(net_, transport_, m1_);
   transport_.set_drop_probability(1.0);  // the first attempt is lost
@@ -246,7 +246,7 @@ TEST_F(NsHardeningTest, TimeoutBackoffConsumesSimulatedTime) {
   config.retry.retries = 2;
   config.retry.request_timeout = 100;
   config.retry.backoff_multiplier = 2.0;
-  ResolverClient client(graph_, net_, drop_transport, sim_, lossy_service,
+  ResolverClient client(net_, drop_transport, sim_, lossy_service,
                         m1_, "c", config);
   SimTime t0 = sim_.now();
   auto result = client.resolve(root_, CompoundName::relative("local"));
@@ -271,7 +271,7 @@ TEST_F(NsHardeningTest, BackoffTimeoutRespectsCap) {
   config.retry.request_timeout = 100;
   config.retry.backoff_multiplier = 2.0;
   config.retry.max_timeout = 150;
-  ResolverClient client(graph_, net_, drop_transport, sim_, lossy_service,
+  ResolverClient client(net_, drop_transport, sim_, lossy_service,
                         m1_, "c", config);
   SimTime t0 = sim_.now();
   EXPECT_FALSE(client.resolve(root_, CompoundName::relative("local")).is_ok());
@@ -301,7 +301,7 @@ TEST_F(NsHardeningTest, ReferralChainSurvivesLossWithRetries) {
   ResolverClientConfig config;
   config.retry.retries = 16;
   config.retry.request_timeout = 500;
-  ResolverClient client(graph_, net_, drop_transport, sim_, lossy_service,
+  ResolverClient client(net_, drop_transport, sim_, lossy_service,
                         m1_, "c", config);
   auto result =
       client.resolve(root_, CompoundName::relative("shared/deep/leaf"));
@@ -320,7 +320,7 @@ TEST_F(NsHardeningTest, ReferralChainSurvivesLossWithRetries) {
 TEST_F(NsHardeningTest, CacheExpiryAtExactBoundaryIsMiss) {
   ResolverClientConfig config;
   config.cache_ttl = 50;
-  ResolverClient client(graph_, net_, transport_, sim_, service_, m1_, "c",
+  ResolverClient client(net_, transport_, sim_, service_, m1_, "c",
                         config);
   CompoundName name = CompoundName::relative("local/data.txt");
   ASSERT_TRUE(client.resolve(root_, name).is_ok());
@@ -342,7 +342,7 @@ TEST_F(NsHardeningTest, CacheNeverExceedsCapacityUnderChurn) {
   ResolverClientConfig config;
   config.cache_ttl = 1u << 30;
   config.cache_capacity = 4;
-  ResolverClient client(graph_, net_, transport_, sim_, service_, m1_, "c",
+  ResolverClient client(net_, transport_, sim_, service_, m1_, "c",
                         config);
   std::vector<CompoundName> names;
   for (int i = 0; i < 16; ++i) {
@@ -367,7 +367,7 @@ TEST_F(NsHardeningTest, LruKeepsRecentlyUsedEntries) {
   ResolverClientConfig config;
   config.cache_ttl = 1u << 30;
   config.cache_capacity = 2;
-  ResolverClient client(graph_, net_, transport_, sim_, service_, m1_, "c",
+  ResolverClient client(net_, transport_, sim_, service_, m1_, "c",
                         config);
   CompoundName a = CompoundName::relative("local/data.txt");
   CompoundName b = CompoundName::relative("local/other.txt");
@@ -389,7 +389,7 @@ TEST_F(NsHardeningTest, LruKeepsRecentlyUsedEntries) {
 TEST_F(NsHardeningTest, NegativeCacheServesRepeatedFailures) {
   ResolverClientConfig config;
   config.negative_cache_ttl = 300;  // positive caching stays off
-  ResolverClient client(graph_, net_, transport_, sim_, service_, m1_, "c",
+  ResolverClient client(net_, transport_, sim_, service_, m1_, "c",
                         config);
   CompoundName ghost = CompoundName::relative("local/ghost");
   auto first = client.resolve(root_, ghost);
@@ -414,7 +414,7 @@ TEST_F(NsHardeningTest, NegativeCacheServesRepeatedFailures) {
 TEST_F(NsHardeningTest, EpochInvalidationDropsSupersededEntry) {
   ResolverClientConfig config;
   config.cache_ttl = 1u << 30;  // TTL alone would keep the stale lie forever
-  ResolverClient client(graph_, net_, transport_, sim_, service_, m1_, "c",
+  ResolverClient client(net_, transport_, sim_, service_, m1_, "c",
                         config);
   CompoundName name = CompoundName::relative("local/data.txt");
   auto before = client.resolve(root_, name);
@@ -441,7 +441,7 @@ TEST_F(NsHardeningTest, TtlOnlyCachingKeepsServingStaleBinding) {
   ResolverClientConfig config;
   config.cache_ttl = 1u << 30;
   config.epoch_invalidation = false;
-  ResolverClient client(graph_, net_, transport_, sim_, service_, m1_, "c",
+  ResolverClient client(net_, transport_, sim_, service_, m1_, "c",
                         config);
   CompoundName name = CompoundName::relative("local/data.txt");
   auto before = client.resolve(root_, name);
@@ -460,7 +460,7 @@ TEST_F(NsHardeningTest, TtlOnlyCachingKeepsServingStaleBinding) {
 TEST_F(NsHardeningTest, NegativeEntryInvalidatedWhenNameAppears) {
   ResolverClientConfig config;
   config.negative_cache_ttl = 1u << 30;
-  ResolverClient client(graph_, net_, transport_, sim_, service_, m1_, "c",
+  ResolverClient client(net_, transport_, sim_, service_, m1_, "c",
                         config);
   CompoundName ghost = CompoundName::relative("local/ghost");
   EXPECT_FALSE(client.resolve(root_, ghost).is_ok());  // cached "no"
@@ -516,7 +516,7 @@ TEST_F(NsHardeningTest, RogueReferralRemainingIsRejectedNotForwarded) {
         (void)transport_.send(self, message.reply_to,
                               encode_resolve_reply(reply));
       });
-  ResolverClient client(graph_, net_, transport_, sim_, service_, m1_, "c");
+  ResolverClient client(net_, transport_, sim_, service_, m1_, "c");
   auto result =
       client.resolve(root_, CompoundName::relative("shared/proj/readme"));
   ASSERT_FALSE(result.is_ok());
@@ -529,7 +529,7 @@ TEST_F(NsHardeningTest, RogueReferralRemainingIsRejectedNotForwarded) {
 TEST_F(NsHardeningTest, HonestReferralChainStillResolves) {
   // The happy path through the same slice machinery: /shared is homed on
   // m2, so a client on m1 is referred and must land on the right file.
-  ResolverClient client(graph_, net_, transport_, sim_, service_, m1_, "c");
+  ResolverClient client(net_, transport_, sim_, service_, m1_, "c");
   auto result =
       client.resolve(root_, CompoundName::relative("shared/proj/readme"));
   ASSERT_TRUE(result.is_ok());
@@ -569,7 +569,7 @@ TEST_F(NsHardeningTest, LossyLookupYieldsOneSpanWithFullEventChain) {
   config.retry.retries = 2;
   config.retry.request_timeout = 100;
   config.cache_ttl = 1000;  // so the cache probe is part of the story
-  ResolverClient client(graph_, net_, tp, sim_, service, m1_, "c", config);
+  ResolverClient client(net_, tp, sim_, service, m1_, "c", config);
   // The first attempt is sent into the blackout; the line heals (an event
   // on the shared clock, fired while the client waits out the first
   // timeout window) before the backoff retry leaves.
@@ -625,7 +625,7 @@ TEST_F(NsHardeningTest, SecondResolutionGetsItsOwnSpan) {
   transport_.tracer().set_enabled(true);
   ResolverClientConfig config;
   config.cache_ttl = 1000;
-  ResolverClient client(graph_, net_, transport_, sim_, service_, m1_, "c",
+  ResolverClient client(net_, transport_, sim_, service_, m1_, "c",
                         config);
   ASSERT_TRUE(client.resolve(root_, CompoundName::relative("local")).is_ok());
   ASSERT_TRUE(client.resolve(root_, CompoundName::relative("local")).is_ok());
@@ -645,7 +645,7 @@ TEST_F(NsHardeningTest, SecondResolutionGetsItsOwnSpan) {
 TEST_F(NsHardeningTest, ClientAndServerSnapshotsMatchRegistry) {
   ResolverClientConfig config;
   config.cache_ttl = 500;
-  ResolverClient client(graph_, net_, transport_, sim_, service_, m1_, "c",
+  ResolverClient client(net_, transport_, sim_, service_, m1_, "c",
                         config);
   ASSERT_TRUE(client.resolve(root_, CompoundName::relative("local")).is_ok());
   ASSERT_TRUE(client.resolve(root_, CompoundName::relative("local")).is_ok());

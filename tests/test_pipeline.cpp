@@ -78,7 +78,7 @@ class PipelineTest : public ::testing::Test {
 // --- Tentpole: concurrent resolutions overlap on the wire ------------------
 
 TEST_F(PipelineTest, ConcurrentChainsFinishInOneChainTime) {
-  ResolverClient client(graph_, net_, transport_, sim_, service_, m1_, "c");
+  ResolverClient client(net_, transport_, sim_, service_, m1_, "c");
 
   // Baseline: one blocking two-hop resolution takes kChainTime ticks.
   SimTime before = sim_.now();
@@ -112,7 +112,7 @@ TEST_F(PipelineTest, ConcurrentChainsFinishInOneChainTime) {
 }
 
 TEST_F(PipelineTest, BlockingResolveMatchesAsyncResult) {
-  ResolverClient client(graph_, net_, transport_, sim_, service_, m1_, "c");
+  ResolverClient client(net_, transport_, sim_, service_, m1_, "c");
   CompoundName name = CompoundName::relative("shared/proj/readme");
   auto blocking = client.resolve(root_, name);
   ResolveHandle handle = client.resolve_async(root_, name);
@@ -128,7 +128,7 @@ TEST_F(PipelineTest, BlockingResolveMatchesAsyncResult) {
 
 TEST_F(PipelineTest, IdenticalInflightLookupsShareOneWireExchange) {
   transport_.tracer().set_enabled(true);
-  ResolverClient client(graph_, net_, transport_, sim_, service_, m1_, "c");
+  ResolverClient client(net_, transport_, sim_, service_, m1_, "c");
   CompoundName name = CompoundName::relative("shared/proj/readme");
 
   ResolveHandle owner = client.resolve_async(root_, name);
@@ -190,7 +190,7 @@ TEST_F(PipelineTest, CoalescedWaitersBothCompleteAfterRetry) {
   ResolverClientConfig config;
   config.retry.retries = 1;
   config.retry.request_timeout = 100;
-  ResolverClient client(graph_, net_, transport_, sim_, service_, m1_, "c",
+  ResolverClient client(net_, transport_, sim_, service_, m1_, "c",
                         config);
   transport_.set_drop_probability(1.0);
   sim_.schedule_at(50, [this] { transport_.set_drop_probability(0.0); });
@@ -225,7 +225,7 @@ TEST_F(PipelineTest, CoalescedWaitersBothCompleteAfterRetry) {
 // reply landing while a slower referral chain is mid-flight must not
 // clobber the other resolution's decoded state.
 TEST_F(PipelineTest, OverlappingResolutionsKeepReplyStateSeparate) {
-  ResolverClient client(graph_, net_, transport_, sim_, service_, m1_, "c");
+  ResolverClient client(net_, transport_, sim_, service_, m1_, "c");
   ResolveHandle fast =
       client.resolve_async(root_, CompoundName::relative("local/data.txt"));
   ResolveHandle slow = client.resolve_async(
@@ -255,7 +255,7 @@ TEST_F(PipelineTest, OverlappingResolutionsKeepReplyStateSeparate) {
 // --- Callbacks -------------------------------------------------------------
 
 TEST_F(PipelineTest, CallbackFiresOnceAndMayChainResolutions) {
-  ResolverClient client(graph_, net_, transport_, sim_, service_, m1_, "c");
+  ResolverClient client(net_, transport_, sim_, service_, m1_, "c");
   int first_calls = 0;
   int second_calls = 0;
   Result<EntityId> second_result = internal_error("not yet");
@@ -282,7 +282,7 @@ TEST_F(PipelineTest, CallbackFiresOnceAndMayChainResolutions) {
 TEST_F(PipelineTest, SynchronousSettlementsInvokeCallbackBeforeReturn) {
   ResolverClientConfig config;
   config.cache_ttl = 1000;
-  ResolverClient client(graph_, net_, transport_, sim_, service_, m1_, "c",
+  ResolverClient client(net_, transport_, sim_, service_, m1_, "c",
                         config);
   CompoundName name = CompoundName::relative("local/data.txt");
   ASSERT_TRUE(client.resolve(root_, name).is_ok());  // warm the cache
@@ -303,7 +303,7 @@ TEST_F(PipelineTest, SynchronousSettlementsInvokeCallbackBeforeReturn) {
 TEST_F(PipelineTest, DestroyedClientSettlesOutstandingHandles) {
   ResolveHandle orphan;
   {
-    ResolverClient client(graph_, net_, transport_, sim_, service_, m1_, "c");
+    ResolverClient client(net_, transport_, sim_, service_, m1_, "c");
     orphan = client.resolve_async(
         root_, CompoundName::relative("shared/proj/readme"));
     EXPECT_FALSE(orphan.done());
@@ -319,7 +319,7 @@ TEST_F(PipelineTest, DestroyedClientSettlesOutstandingHandles) {
 TEST_F(PipelineTest, ReferralLimitZeroReportsDepthExceeded) {
   ResolverClientConfig config;
   config.resolve.max_referrals = 0;
-  ResolverClient client(graph_, net_, transport_, sim_, service_, m1_, "c",
+  ResolverClient client(net_, transport_, sim_, service_, m1_, "c",
                         config);
   auto result =
       client.resolve(root_, CompoundName::relative("shared/proj/readme"));
@@ -333,7 +333,7 @@ TEST_F(PipelineTest, ReferralLimitZeroReportsDepthExceeded) {
 // --- The closed-loop parallel workload -------------------------------------
 
 TEST_F(PipelineTest, ClosedLoopWorkloadDrivesConcurrentActivities) {
-  ResolverClient client(graph_, net_, transport_, sim_, service_, m1_, "c");
+  ResolverClient client(net_, transport_, sim_, service_, m1_, "c");
   std::vector<ParallelQuery> queries;
   for (int i = 0; i < 16; ++i) {
     std::string path = "shared/proj/f" + std::to_string(i);
@@ -459,7 +459,7 @@ TEST_P(ClientEngineInvariants, OneExchangePerKeyAndEveryWaiterSettlesOnce) {
   config.retry.retries = 2;
   config.retry.request_timeout = 250;
   config.replica_quarantine = 1000;
-  ResolverClient client(graph_, net_, transport_, sim_, service_, m1_, "c",
+  ResolverClient client(net_, transport_, sim_, service_, m1_, "c",
                         config);
   const SimTime base = sim_.now();  // past SetUp's snapshot pushes
   faults_.add_reorder_window(base, base + kProbeUntil, 80,

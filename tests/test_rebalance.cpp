@@ -112,7 +112,7 @@ TEST_F(MigrationTest, CopiesCatchesUpAndCutsOver) {
 
   // Resolution through the migrated subtree works end to end: the root's
   // referral now points straight at the new owner.
-  ResolverClient client(graph_, net_, transport_, sim_, service_, mclient_,
+  ResolverClient client(net_, transport_, sim_, service_, mclient_,
                         "c");
   Result<EntityId> hit = client.resolve(root_, CompoundName::relative("c0/f"));
   ASSERT_TRUE(hit.is_ok());
@@ -140,7 +140,7 @@ TEST_F(MigrationTest, StartValidatesItsArguments) {
 TEST_F(MigrationTest, ForwardingWindowRefersStaleClients) {
   ResolverClientConfig cfg;
   cfg.shard_routing = true;
-  ResolverClient client(graph_, net_, transport_, sim_, service_, mclient_,
+  ResolverClient client(net_, transport_, sim_, service_, mclient_,
                         "c", cfg);
 
   // First resolve teaches the client glue: x_ lives on s1, reachable at
@@ -181,7 +181,7 @@ TEST_F(MigrationTest, ForwardingWindowRefersStaleClients) {
 TEST_F(MigrationTest, ForwardingWindowExpires) {
   ResolverClientConfig cfg;
   cfg.shard_routing = true;
-  ResolverClient client(graph_, net_, transport_, sim_, service_, mclient_,
+  ResolverClient client(net_, transport_, sim_, service_, mclient_,
                         "c", cfg);
   ASSERT_TRUE(
       client.resolve(root_, CompoundName::relative("c0/f")).is_ok());
@@ -210,9 +210,9 @@ TEST_F(MigrationTest, OverlappingCutoversForwardUntilTheLaterExpiry) {
   // later hits mb once through that stale route.
   ResolverClientConfig cfg;
   cfg.shard_routing = true;
-  ResolverClient early(graph_, net_, transport_, sim_, service_, mclient_,
+  ResolverClient early(net_, transport_, sim_, service_, mclient_,
                        "early", cfg);
-  ResolverClient late(graph_, net_, transport_, sim_, service_, mclient_,
+  ResolverClient late(net_, transport_, sim_, service_, mclient_,
                       "late", cfg);
   ASSERT_TRUE(early.resolve(root_, CompoundName::relative("c0/f")).is_ok());
   ASSERT_TRUE(late.resolve(root_, CompoundName::relative("c0/f")).is_ok());
@@ -323,7 +323,7 @@ TEST_F(MigrationTest, AbortsCleanlyOnPartitionedTarget) {
 
   // The namespace keeps resolving through the old owner as if the
   // migration had never been attempted.
-  ResolverClient client(graph_, net_, transport_, sim_, service_, mclient_,
+  ResolverClient client(net_, transport_, sim_, service_, mclient_,
                         "c");
   Result<EntityId> hit = client.resolve(root_, CompoundName::relative("c0/f"));
   ASSERT_TRUE(hit.is_ok());
@@ -378,7 +378,7 @@ MigrationRunDigest run_migration_under_load(std::uint64_t seed) {
   ResolverClientConfig cfg;
   cfg.shard_routing = true;
   cfg.retry.request_timeout = 100000;
-  ResolverClient client(graph, net, transport, sim, service, mclient, "c",
+  ResolverClient client(net, transport, sim, service, mclient, "c",
                         cfg);
 
   MigrationDriver driver(graph, homes, service, sim);

@@ -399,7 +399,7 @@ class ShardedResolutionTest : public ::testing::Test {
 TEST_F(ShardedResolutionTest, TwoHopGlueChaseAcrossChainedDelegations) {
   ResolverClientConfig cfg;
   cfg.shard_routing = true;
-  ResolverClient client(graph_, net_, transport_, sim_, service_, mclient_,
+  ResolverClient client(net_, transport_, sim_, service_, mclient_,
                         "c", cfg);
   auto result = client.resolve(root_, CompoundName::relative("c0/c0/f"));
   ASSERT_TRUE(result.is_ok());
@@ -417,7 +417,7 @@ TEST_F(ShardedResolutionTest, GlueOnTheWireIsIgnoredWithoutShardRouting) {
   // A client without shard_routing resolving the same name: both
   // referrals carry glue, but the client reads none of it and chases
   // through each referral's replica list instead.
-  ResolverClient client(graph_, net_, transport_, sim_, service_, mclient_,
+  ResolverClient client(net_, transport_, sim_, service_, mclient_,
                         "old");
   auto result = client.resolve(root_, CompoundName::relative("c0/c0/f"));
   ASSERT_TRUE(result.is_ok());
@@ -431,7 +431,7 @@ TEST_F(ShardedResolutionTest, LeaseInvalidationSurvivesMigration) {
   cfg.shard_routing = true;
   cfg.lease_coherence = true;
   cfg.cache_ttl = 100000;
-  ResolverClient client(graph_, net_, transport_, sim_, service_, mclient_,
+  ResolverClient client(net_, transport_, sim_, service_, mclient_,
                         "c", cfg);
   const CompoundName target = CompoundName::relative("c0/c0/f");
   auto first = client.resolve(root_, target);

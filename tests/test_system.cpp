@@ -149,7 +149,7 @@ TEST_F(BuildFarm, RemoteResolutionAgreesWithSharedTreeSemantics) {
   service_.add_server(m2_);
 
   // A client on m2 resolves the shared project — referral to m1.
-  ResolverClient client(graph_, net_, transport_, sim_, service_, m2_,
+  ResolverClient client(net_, transport_, sim_, service_, m2_,
                         "resolver");
   auto remote = client.resolve(scheme_.site_tree(c2_),
                                CompoundName::relative(
@@ -165,7 +165,7 @@ TEST_F(BuildFarm, RemoteResolutionAgreesWithSharedTreeSemantics) {
 
   // And the entity is the same one m1's clients see: spatial coherence of
   // the shared graph, verified through the distributed path.
-  ResolverClient client1(graph_, net_, transport_, sim_, service_, m1_,
+  ResolverClient client1(net_, transport_, sim_, service_, m1_,
                          "resolver1");
   auto from_m1 = client1.resolve(scheme_.site_tree(c1_),
                                  CompoundName::relative(

@@ -309,6 +309,59 @@ TEST_F(TransportTest, DropSeedDeterminism) {
   EXPECT_EQ(run(7), run(7));
 }
 
+TEST(TransportSplice, RebasedPidsChangeLengthAndLaterFieldsSurvive) {
+  // Machine 130 has a two-byte address. A pid for a process there is
+  // (0,130,l) from m1 but (0,0,l) on 130 itself, so the remap shrinks
+  // the frame one way and grows it the other; the fields after each pid
+  // must arrive intact.
+  Simulator sim;
+  Internetwork net;
+  const NetworkId lan = net.add_network("lan");
+  const MachineId m1 = net.add_machine(lan, "m1");
+  MachineId far = m1;
+  for (int i = 2; i <= 130; ++i) far = net.add_machine(lan, "m");
+  const EndpointId near_ep = net.add_endpoint(m1, "near");
+  const EndpointId far_ep = net.add_endpoint(far, "far");
+  const EndpointId far_peer = net.add_endpoint(far, "peer");
+  const Location near_at = net.location_of(near_ep).value();
+  const Location far_at = net.location_of(far_ep).value();
+  const Location peer_at = net.location_of(far_peer).value();
+  ASSERT_EQ(far_at.maddr, 130u);
+
+  Transport tp(sim, net);
+  std::vector<Payload> got;
+  auto keep = [&](EndpointId, const Message& m) { got.push_back(m.payload); };
+  tp.set_handler(far_ep, keep);
+  tp.set_handler(near_ep, keep);
+
+  Message shrink;  // near -> far, naming far's peer: (0,130,l) -> (0,0,l)
+  shrink.payload.add_pid(relativize(peer_at, near_at)).add_string("after")
+      .add_u64(300);
+  const std::size_t shrink_bytes = shrink.payload.frame().size();
+  ASSERT_TRUE(tp.send(near_ep, relativize(far_at, near_at),
+                      std::move(shrink)).is_ok());
+  Message grow;  // far -> near, naming far's peer: (0,0,l) -> (0,130,l)
+  grow.payload.add_pid(relativize(peer_at, far_at)).add_name("a/b")
+      .add_pid(Pid::self());
+  const std::size_t grow_bytes = grow.payload.frame().size();
+  ASSERT_TRUE(tp.send(far_ep, relativize(near_at, far_at),
+                      std::move(grow)).is_ok());
+  sim.run();
+
+  ASSERT_EQ(got.size(), 2u);
+  const Payload& at_far = got[0];
+  EXPECT_EQ(at_far.pid_at(0), (Pid{0, 0, peer_at.laddr}));
+  EXPECT_EQ(at_far.string_at(1), "after");
+  EXPECT_EQ(at_far.u64_at(2), 300u);
+  EXPECT_EQ(at_far.frame().size(), shrink_bytes - 1);
+  const Payload& at_near = got[1];
+  EXPECT_EQ(at_near.pid_at(0), (Pid{0, 130, peer_at.laddr}));
+  EXPECT_EQ(at_near.name_at(1), "a/b");
+  EXPECT_EQ(at_near.pid_at(2), (Pid{0, 130, far_at.laddr}));
+  EXPECT_EQ(at_near.frame().size(), grow_bytes + 2);
+  EXPECT_EQ(tp.snapshot()["pids_remapped"], 3u);
+}
+
 TEST_F(TransportTest, SelfPidInPayloadDenotesSenderAfterRemap) {
   Transport tp(sim_, net_);
   Pid received_pid;

@@ -1,7 +1,10 @@
 // Tests for the wire codec: varints, byte strings, pids, typed payloads.
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "net/wire.hpp"
+#include "util/rng.hpp"
 
 namespace namecoh {
 namespace {
@@ -116,8 +119,7 @@ TEST(Payload, PidAndNameIndices) {
   EXPECT_EQ(p.name_indices(), (std::vector<std::size_t>{3}));
   p.set_pid(2, Pid{5, 5, 5});
   EXPECT_EQ(p.pid_at(2), (Pid{5, 5, 5}));
-  p.set_name(3, "/y");
-  EXPECT_EQ(p.name_at(3), "/y");
+  EXPECT_EQ(p.name_at(3), "/x");
   EXPECT_THROW(p.set_pid(1, Pid{}), PreconditionError);
 }
 
@@ -196,6 +198,19 @@ TEST(Payload, DecodeRejectsForgedFieldCountWithoutReservingIt) {
   EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
 }
 
+TEST(Payload, AddAfterDecodeKeepsTheCountCanonical) {
+  // An overlong count (0 as two bytes) decodes; a field added afterwards
+  // leaves the frame a builder would have made.
+  const std::vector<std::uint8_t> overlong = {0x80, 0x00};
+  Result<Payload> decoded = Payload::decode(overlong);
+  ASSERT_TRUE(decoded.is_ok());
+  decoded.value().add_u64(300);
+  Payload built;
+  built.add_u64(300);
+  EXPECT_EQ(decoded.value().encode(), built.encode());
+  EXPECT_EQ(decoded.value().u64_at(0), 300u);
+}
+
 // Property sweep: random payloads round-trip bit-exactly.
 class PayloadRoundTrip : public ::testing::TestWithParam<int> {};
 
@@ -233,6 +248,235 @@ TEST_P(PayloadRoundTrip, Random) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PayloadRoundTrip, ::testing::Range(1, 33));
+
+// --- Differential check against a field-vector reference codec ---------------
+//
+// The reference is the codec a Payload used to be: a vector of fields,
+// encoded by a serialising pass and decoded by building every field. It
+// has its own varint code, so it shares nothing with wire.cpp.
+
+/// One field; only the member its type names is meaningful.
+struct RefField {
+  FieldType type;
+  std::uint64_t u64 = 0;
+  std::string text;
+  Pid pid;
+};
+
+void ref_put(std::vector<std::uint8_t>& out, std::uint64_t v) {
+  for (; v >= 0x80; v >>= 7) out.push_back(static_cast<std::uint8_t>(v | 0x80));
+  out.push_back(static_cast<std::uint8_t>(v));
+}
+
+std::vector<std::uint8_t> ref_encode(const std::vector<RefField>& fields) {
+  std::vector<std::uint8_t> out;
+  ref_put(out, fields.size());
+  for (const RefField& f : fields) {
+    out.push_back(static_cast<std::uint8_t>(f.type));
+    if (f.type == FieldType::kU64) {
+      ref_put(out, f.u64);
+    } else if (f.type == FieldType::kPid) {
+      for (Addr a : {f.pid.naddr, f.pid.maddr, f.pid.laddr}) ref_put(out, a);
+    } else {
+      ref_put(out, f.text.size());
+      out.insert(out.end(), f.text.begin(), f.text.end());
+    }
+  }
+  return out;
+}
+
+/// Reads a varint at `at`; nullopt when truncated or over 64 bits.
+std::optional<std::uint64_t> ref_get(const std::vector<std::uint8_t>& in,
+                                     std::size_t& at) {
+  std::uint64_t v = 0;
+  for (int shift = 0; at < in.size() && shift < 64; shift += 7) {
+    const std::uint8_t byte = in[at++];
+    if (shift == 63 && byte > 1) return std::nullopt;
+    v |= std::uint64_t{byte & 0x7fu} << shift;
+    if ((byte & 0x80) == 0) return v;
+  }
+  return std::nullopt;
+}
+
+std::optional<std::vector<RefField>> ref_decode(
+    const std::vector<std::uint8_t>& in) {
+  std::size_t at = 0;
+  const auto count = ref_get(in, at);
+  if (!count) return std::nullopt;
+  std::vector<RefField> out;
+  for (std::uint64_t i = 0; i < *count; ++i) {
+    if (at >= in.size()) return std::nullopt;
+    const auto type = static_cast<FieldType>(in[at++]);
+    if (type == FieldType::kU64) {
+      const auto v = ref_get(in, at);
+      if (!v) return std::nullopt;
+      out.push_back({type, *v, {}, {}});
+    } else if (type == FieldType::kString || type == FieldType::kName) {
+      const auto n = ref_get(in, at);
+      if (!n || *n > in.size() - at) return std::nullopt;
+      const auto* bytes = reinterpret_cast<const char*>(in.data() + at);
+      out.push_back({type, 0, std::string(bytes, *n), {}});
+      at += static_cast<std::size_t>(*n);
+    } else if (type == FieldType::kPid) {
+      Addr a[3];
+      for (Addr& x : a) {
+        const auto v = ref_get(in, at);
+        if (!v || *v > ~Addr{0}) return std::nullopt;
+        x = static_cast<Addr>(*v);
+      }
+      out.push_back({type, 0, {}, Pid{a[0], a[1], a[2]}});
+    } else {
+      return std::nullopt;
+    }
+  }
+  if (at != in.size()) return std::nullopt;
+  return out;
+}
+
+/// Every field of `p` reads back as `ref` says.
+void expect_fields(const Payload& p, const std::vector<RefField>& ref) {
+  ASSERT_EQ(p.size(), ref.size());
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    ASSERT_EQ(p.type_at(i), ref[i].type) << "field " << i;
+    switch (ref[i].type) {
+      case FieldType::kU64:
+        EXPECT_EQ(p.u64_at(i), ref[i].u64);
+        break;
+      case FieldType::kString:
+        EXPECT_EQ(p.string_at(i), ref[i].text);
+        break;
+      case FieldType::kName:
+        EXPECT_EQ(p.name_at(i), ref[i].text);
+        break;
+      case FieldType::kPid:
+        EXPECT_EQ(p.pid_at(i), ref[i].pid);
+        break;
+    }
+  }
+}
+
+/// The two codecs accept or refuse `frame` alike, and agree on its fields.
+void expect_same_verdict(const std::vector<std::uint8_t>& frame) {
+  const auto ref = ref_decode(frame);
+  const Result<Payload> got = Payload::decode(frame);
+  ASSERT_EQ(got.is_ok(), ref.has_value());
+  if (ref) expect_fields(got.value(), *ref);
+}
+
+class WireCodecDifferential : public ::testing::TestWithParam<int> {};
+
+TEST_P(WireCodecDifferential, AgreesWithFieldVectorReference) {
+  Rng rng(static_cast<std::uint64_t>(GetParam()));
+  // Uniform in [lo, hi].
+  auto pick = [&rng](std::size_t lo, std::size_t hi) {
+    return lo + static_cast<std::size_t>(rng.next_below(hi - lo + 1));
+  };
+  // Values at every varint length boundary, and pids whose rebase changes
+  // their encoded length (1 to 5 bytes per address).
+  const std::uint64_t u64s[] = {0, 1, 127, 128, 16383, 16384,
+                                std::uint64_t{1} << 63, ~0ULL};
+  const Addr addrs[] = {0, 1, 127, 128, 16384, 1u << 21, 1u << 28, ~Addr{0}};
+  const CompoundName slice_name =
+      CompoundName::parse_relative("vice/usr/src").value();
+  auto text = [&]() -> std::string {
+    switch (pick(0, 2)) {
+      case 0: return "";
+      case 1: return std::string(300, static_cast<char>('a' + pick(0, 25)));
+      default: return "p" + std::to_string(rng.next() % 1000);
+    }
+  };
+  auto pid = [&] {
+    return Pid{addrs[pick(0, 7)], addrs[pick(0, 7)],
+               addrs[pick(0, 7)]};
+  };
+
+  for (int round = 0; round < 20; ++round) {
+    // Mostly small payloads; some at 126 to 130 fields, around the count
+    // that grows a byte.
+    const std::size_t n = rng.bernoulli(0.2) ? pick(126, 130) : pick(0, 12);
+    Payload p;
+    std::vector<RefField> ref;
+    for (std::size_t i = 0; i < n; ++i) {
+      switch (pick(0, 4)) {
+        case 0: {
+          const std::uint64_t v =
+              rng.bernoulli(0.5) ? u64s[pick(0, 7)] : rng.next();
+          p.add_u64(v);
+          ref.push_back({FieldType::kU64, v, {}, {}});
+          break;
+        }
+        case 1: {
+          const std::string s = text();
+          p.add_string(s);
+          ref.push_back({FieldType::kString, 0, s, {}});
+          break;
+        }
+        case 2: {
+          const std::string s = text();
+          p.add_name(s);
+          ref.push_back({FieldType::kName, 0, s, {}});
+          break;
+        }
+        case 3: {
+          p.add_name(NameSlice{slice_name});
+          ref.push_back({FieldType::kName, 0, "vice/usr/src", {}});
+          break;
+        }
+        default: {
+          const Pid v = pid();
+          p.add_pid(v);
+          ref.push_back({FieldType::kPid, 0, {}, v});
+          break;
+        }
+      }
+    }
+    // Built frames are the reference's bytes, and every field reads back.
+    std::vector<std::uint8_t> frame = p.encode();
+    ASSERT_EQ(frame, ref_encode(ref)) << "round " << round;
+    expect_fields(p, ref);
+    expect_same_verdict(frame);
+
+    // Rebase every pid, as the transport does, through a decoded copy:
+    // splices where the length changes keep every later field intact.
+    Result<Payload> decoded = Payload::decode(p.encode());
+    ASSERT_TRUE(decoded.is_ok());
+    Payload& moved = decoded.value();
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+      if (ref[i].type != FieldType::kPid) continue;
+      const Pid v = pid();
+      moved.set_pid(i, v);
+      ref[i].pid = v;
+    }
+    ASSERT_EQ(moved.encode(), ref_encode(ref)) << "round " << round;
+    expect_fields(moved, ref);
+    frame = moved.encode();
+
+    // Truncations, byte flips and forged counts: the verdicts agree.
+    for (int k = 0; k < 8 && !frame.empty(); ++k) {
+      std::vector<std::uint8_t> cut(
+          frame.begin(),
+          frame.begin() + static_cast<std::ptrdiff_t>(
+                              pick(0, frame.size() - 1)));
+      expect_same_verdict(cut);
+      std::vector<std::uint8_t> flipped = frame;
+      flipped[pick(0, frame.size() - 1)] ^=
+          static_cast<std::uint8_t>(pick(1, 255));
+      expect_same_verdict(flipped);
+    }
+    for (std::uint64_t forged : {std::uint64_t{n} - 1, std::uint64_t{n} + 1,
+                                 std::uint64_t{n} + 1000, ~std::uint64_t{0}}) {
+      std::vector<std::uint8_t> bad;
+      ref_put(bad, forged);
+      std::size_t at = 0;
+      (void)ref_get(frame, at);
+      bad.insert(bad.end(), frame.begin() + static_cast<std::ptrdiff_t>(at),
+                 frame.end());
+      expect_same_verdict(bad);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, WireCodecDifferential, ::testing::Range(1, 17));
 
 }  // namespace
 }  // namespace namecoh
