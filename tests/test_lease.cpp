@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "fs/file_system.hpp"
 #include "ns/resolver_client.hpp"
@@ -382,6 +383,117 @@ TEST_F(LeaseTest, EpochTableIsBoundedLru) {
   const double tracked = transport_.metrics().gauge_value(
       client_prefix(client) + "epochs_tracked");
   EXPECT_EQ(tracked, 4.0);
+}
+
+// --- Satellite: the server's lease table is bounded -------------------------
+
+/// A bare client endpoint that asks a server for `readme` under `proj`
+/// with the lease flag set and keeps the lease pair of each reply.
+struct LeaseProbe {
+  LeaseProbe(Internetwork& net, Transport& transport, MachineId machine)
+      : net_(net), transport_(transport),
+        endpoint_(net.add_endpoint(machine, "lease-probe")) {
+    transport_.set_handler(endpoint_,
+                           [this](EndpointId, const Message& message) {
+                             if (auto reply = decode_resolve_reply(message)) {
+                               replies.push_back(*reply);
+                             }
+                           });
+  }
+  ~LeaseProbe() {
+    transport_.clear_handler(endpoint_);
+    (void)net_.remove_endpoint(endpoint_);
+  }
+
+  /// Ask `server` and drive the simulator until the reply is in.
+  ResolveReply ask(Simulator& sim, EndpointId server, EntityId proj) {
+    const Pid to = relativize(net_.location_of(server).value(),
+                              net_.location_of(endpoint_).value());
+    const std::size_t before = replies.size();
+    EXPECT_TRUE(transport_
+                    .send(endpoint_, to,
+                          encode_resolve_request(ResolveRequest{
+                              next_corr++, proj, "readme",
+                              NsWire::kFlagLeaseRequested}))
+                    .is_ok());
+    sim.run_while([&] { return replies.size() == before; });
+    EXPECT_EQ(replies.size(), before + 1);
+    return replies.empty() ? ResolveReply{} : replies.back();
+  }
+
+  Internetwork& net_;
+  Transport& transport_;
+  EndpointId endpoint_;
+  std::uint64_t next_corr = 1;
+  std::vector<ResolveReply> replies;
+};
+
+TEST_F(LeaseTest, LeaseTableBoundRefusesThenPurgesLapsedPromises) {
+  constexpr SimDuration kTerm = 1000;
+  service_.set_lease_policy(kTerm, 2);
+  LeaseProbe a(net_, transport_, m1_);
+  LeaseProbe b(net_, transport_, m1_);
+  LeaseProbe c(net_, transport_, m1_);
+  b.next_corr = 1000;  // distinct corrs: the server's duplicate window
+  c.next_corr = 2000;  // is keyed by the raw id
+
+  const ResolveReply first = a.ask(sim_, server2_, proj_);
+  const ResolveReply second = b.ask(sim_, server2_, proj_);
+  ASSERT_EQ(first.disposition, NsWire::kAnswer);
+  EXPECT_NE(first.lease_id, 0u);
+  EXPECT_NE(second.lease_id, 0u);
+  EXPECT_NE(first.lease_id, second.lease_id);
+  EXPECT_EQ(service_.lease_count(m2_), 2u);
+
+  // The table is full of unexpired promises: the third client is answered
+  // but gets no lease, and no promise is broken to make room.
+  const ResolveReply refused = c.ask(sim_, server2_, proj_);
+  EXPECT_EQ(refused.disposition, NsWire::kAnswer);
+  EXPECT_EQ(refused.lease_id, 0u);
+  EXPECT_EQ(refused.lease_duration, 0u);
+  EXPECT_EQ(service_.snapshot()["lease_table_full"], 1u);
+  EXPECT_EQ(service_.lease_count(m2_), 2u);
+
+  // A renewal needs no room: it refreshes the holder's lease in place.
+  const ResolveReply renewed = a.ask(sim_, server2_, proj_);
+  EXPECT_EQ(renewed.lease_id, first.lease_id);
+  EXPECT_EQ(renewed.lease_duration, kTerm);
+  EXPECT_EQ(service_.snapshot()["lease_renewals"], 1u);
+  EXPECT_EQ(service_.lease_count(m2_), 2u);
+
+  // Once both promises have lapsed, a full table purges them and grants.
+  sim_.run_until(sim_.now() + kTerm);
+  const ResolveReply granted = c.ask(sim_, server2_, proj_);
+  EXPECT_NE(granted.lease_id, 0u);
+  EXPECT_NE(granted.lease_id, first.lease_id);
+  EXPECT_NE(granted.lease_id, second.lease_id);
+  EXPECT_EQ(service_.snapshot()["lease_table_full"], 1u);
+  EXPECT_EQ(service_.lease_count(m2_), 1u);
+  // The purged holder starts a new promise under a new id.
+  const ResolveReply regranted = a.ask(sim_, server2_, proj_);
+  EXPECT_NE(regranted.lease_id, 0u);
+  EXPECT_NE(regranted.lease_id, first.lease_id);
+  EXPECT_EQ(service_.lease_count(m2_), 2u);
+  EXPECT_EQ(service_.snapshot()["leases_granted"], 4u);
+
+  // m2 becomes proj's secondary under a new primary m1: applying the
+  // primary's snapshot drops m2's own promises, which it can no longer
+  // keep (drop_leases).
+  const ShardId moved = homes_.add_shard({m1_, m2_});
+  ASSERT_TRUE(homes_.migrate_subtree(graph_, shared_, moved).is_ok());
+  service_.publish_update(proj_);
+  sim_.run();
+  EXPECT_EQ(service_.replica_epoch(m2_, proj_), graph_.rebind_epoch(proj_));
+  EXPECT_EQ(service_.lease_count(m2_), 0u);
+
+  // The new primary grants; removing its server voids its whole table,
+  // and a server added back starts empty.
+  EXPECT_NE(b.ask(sim_, server1_, proj_).lease_id, 0u);
+  EXPECT_EQ(service_.lease_count(m1_), 1u);
+  service_.remove_server(m1_);
+  EXPECT_EQ(service_.lease_count(m1_), 0u);
+  service_.add_server(m1_);
+  EXPECT_EQ(service_.lease_count(m1_), 0u);
 }
 
 // --- Satellite: cache boundary semantics ------------------------------------

@@ -279,6 +279,27 @@ TEST_F(NsHardeningTest, BackoffTimeoutRespectsCap) {
   EXPECT_EQ(sim_.now() - t0, 100u + 150u + 150u + 150u);
 }
 
+TEST_F(NsHardeningTest, ReplyLandingOnTheDeadlineTickWins) {
+  // Client and server share m1: one round trip is two 5-tick intra-machine
+  // hops. With the timeout set to exactly that, the reply and the deadline
+  // fall on the same tick. The deadline was scheduled first, so it fires
+  // first; it must defer once behind the queued reply instead of declaring
+  // the only attempt lost.
+  ResolverClientConfig config;
+  config.retry.retries = 0;
+  config.retry.request_timeout = 10;
+  ResolverClient client(net_, transport_, sim_, service_, m1_, "c", config);
+  const SimTime t0 = sim_.now();
+  auto result = client.resolve(root_, CompoundName::relative("local/data.txt"));
+  ASSERT_TRUE(result.is_ok()) << result.status();
+  EXPECT_EQ(graph_.data(result.value()), "local");
+  EXPECT_EQ(sim_.now() - t0, 10u);  // the reply did land on the deadline
+  EXPECT_EQ(client.snapshot()["timeouts"], 0u);
+  EXPECT_EQ(client.snapshot()["failures"], 0u);
+  sim_.run();  // the cancelled deferral must not fire later
+  EXPECT_EQ(client.snapshot()["timeouts"], 0u);
+}
+
 // --- Satellite: referral chains under loss ---------------------------------
 
 TEST_F(NsHardeningTest, ReferralChainSurvivesLossWithRetries) {

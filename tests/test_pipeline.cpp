@@ -301,17 +301,41 @@ TEST_F(PipelineTest, SynchronousSettlementsInvokeCallbackBeforeReturn) {
 // --- Lifecycle -------------------------------------------------------------
 
 TEST_F(PipelineTest, DestroyedClientSettlesOutstandingHandles) {
-  ResolveHandle orphan;
+  // Two keys in flight, a coalesced waiter on the first, and a backoff
+  // resend awaiting its timeout on each: the remote hop's round trip
+  // (100 ticks) outlasts the 30-tick attempt deadline.
+  ResolverClientConfig config;
+  config.retry.retries = 3;
+  config.retry.request_timeout = 30;
+  std::vector<ResolveHandle> orphans;
+  std::vector<int> settled(3, 0);
+  auto count = [&settled](std::size_t i) {
+    return [&settled, i](const Result<EntityId>&) { ++settled[i]; };
+  };
   {
-    ResolverClient client(net_, transport_, sim_, service_, m1_, "c");
-    orphan = client.resolve_async(
-        root_, CompoundName::relative("shared/proj/readme"));
-    EXPECT_FALSE(orphan.done());
+    ResolverClient client(net_, transport_, sim_, service_, m1_, "c",
+                          config);
+    const auto readme = CompoundName::relative("shared/proj/readme");
+    orphans.push_back(client.resolve_async(root_, readme, count(0)));
+    orphans.push_back(client.resolve_async(root_, readme, count(1)));
+    orphans.push_back(client.resolve_async(
+        root_, CompoundName::relative("shared/proj/f0"), count(2)));
+    sim_.run_until(sim_.now() + 60);
+    EXPECT_EQ(client.inflight(), 2u);
+    EXPECT_EQ(client.snapshot()["coalesced"], 1u);
+    EXPECT_EQ(client.snapshot()["timeouts"], 2u);  // one per exchange
+    for (const ResolveHandle& orphan : orphans) EXPECT_FALSE(orphan.done());
   }
-  ASSERT_TRUE(orphan.done());  // settled by the destructor, not leaked
-  EXPECT_FALSE(orphan.result().is_ok());
-  EXPECT_EQ(orphan.result().code(), StatusCode::kUnreachable);
-  sim_.run();  // stray replies to the dead endpoint must be harmless
+  // Settled by the destructor, once each, not leaked.
+  for (std::size_t i = 0; i < orphans.size(); ++i) {
+    ASSERT_TRUE(orphans[i].done()) << i;
+    EXPECT_EQ(orphans[i].result().code(), StatusCode::kUnreachable) << i;
+    EXPECT_EQ(settled[i], 1) << i;
+  }
+  // Stray replies to the dead endpoint and the cancelled deadlines must be
+  // harmless: nothing fires into the destroyed client's records.
+  sim_.run();
+  EXPECT_EQ(settled, std::vector<int>(3, 1));
 }
 
 // --- Satellite: the unified ResolveOptions carries the referral limit ------
