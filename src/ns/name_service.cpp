@@ -26,7 +26,7 @@ NameService::NameService(const NamingGraph& graph, Internetwork& net,
                          Transport& transport, const AuthorityMap& homes)
     : graph_(graph), net_(net), transport_(transport), homes_(homes) {
   MetricsRegistry& metrics = transport_.metrics();
-  requests_ = &metrics.counter("ns.server.requests");
+  requests_received_ = &metrics.counter("ns.server.requests");
   answers_ = &metrics.counter("ns.server.answers");
   referrals_ = &metrics.counter("ns.server.referrals");
   failures_ = &metrics.counter("ns.server.failures");
@@ -56,19 +56,7 @@ void NameService::set_lease_policy(SimDuration duration,
 
 std::size_t NameService::lease_count(MachineId machine) const {
   auto it = leases_.find(machine);
-  return it == leases_.end() ? 0 : it->second.by_id.size();
-}
-
-void NameService::erase_lease(LeaseTable& table, std::uint64_t id) {
-  auto it = table.by_id.find(id);
-  if (it == table.by_id.end()) return;
-  auto ctx_it = table.by_ctx.find(it->second.ctx);
-  if (ctx_it != table.by_ctx.end()) {
-    auto& ids = ctx_it->second;
-    ids.erase(std::remove(ids.begin(), ids.end(), id), ids.end());
-    if (ids.empty()) table.by_ctx.erase(ctx_it);
-  }
-  table.by_id.erase(it);
+  return it == leases_.end() ? 0 : it->second.count;
 }
 
 std::pair<std::uint64_t, std::uint64_t> NameService::grant_lease(
@@ -81,41 +69,36 @@ std::pair<std::uint64_t, std::uint64_t> NameService::grant_lease(
   // its term under the same id instead of stacking a second record.
   auto ctx_it = table.by_ctx.find(ctx);
   if (ctx_it != table.by_ctx.end()) {
-    for (std::uint64_t id : ctx_it->second) {
-      LeaseRecord& record = table.by_id.at(id);
+    for (LeaseRecord& record : ctx_it->second) {
       if (record.holder == holder) {
         record.expires = now + lease_duration_;
         record.epoch = epoch;
         lease_renewals_->inc();
         transport_.tracer().record(now, EventKind::kLeaseGrant, corr,
-                                   ctx.value(), id);
-        return {lease_duration_, id};
+                                   ctx.value(), record.id);
+        return {lease_duration_, record.id};
       }
     }
   }
-  if (lease_capacity_ > 0 && table.by_id.size() >= lease_capacity_) {
+  if (lease_capacity_ > 0 && table.count >= lease_capacity_) {
     // Purge lapsed promises first; a table genuinely full of *unexpired*
     // leases grants nothing — breaking an outstanding promise silently
     // would forfeit the coherence the lease bought.
-    std::vector<std::uint64_t> lapsed;
-    for (const auto& [id, record] : table.by_id) {
-      if (record.expires <= now) lapsed.push_back(id);
+    for (auto it = table.by_ctx.begin(); it != table.by_ctx.end();) {
+      table.count -= std::erase_if(it->second, [now](const LeaseRecord& r) {
+        return r.expires <= now;
+      });
+      it = it->second.empty() ? table.by_ctx.erase(it) : std::next(it);
     }
-    for (std::uint64_t id : lapsed) erase_lease(table, id);
-    if (table.by_id.size() >= lease_capacity_) {
+    if (table.count >= lease_capacity_) {
       lease_table_full_->inc();
       return {0, 0};
     }
   }
   const std::uint64_t id = next_lease_id_++;
-  LeaseRecord record;
-  record.id = id;
-  record.ctx = ctx;
-  record.holder = holder;
-  record.expires = now + lease_duration_;
-  record.epoch = epoch;
-  table.by_id.emplace(id, record);
-  table.by_ctx[ctx].push_back(id);
+  table.by_ctx[ctx].push_back(
+      LeaseRecord{id, holder, now + lease_duration_, epoch});
+  ++table.count;
   leases_granted_->inc();
   transport_.tracer().record(now, EventKind::kLeaseGrant, corr, ctx.value(),
                              id);
@@ -133,23 +116,24 @@ void NameService::push_invalidations(MachineId machine, EntityId ctx) {
   const std::uint64_t epoch = graph_.rebind_epoch(ctx);
   const SimTime now = transport_.simulator().now();
   Tracer& tracer = transport_.tracer();
-  std::vector<std::uint64_t> voided;
-  for (std::uint64_t id : ctx_it->second) {
-    const LeaseRecord& record = table.by_id.at(id);
-    // Promises answered under the current epoch are still good (e.g. an
-    // anti-entropy sweep with no rebind since the grant).
-    if (record.epoch >= epoch) continue;
-    voided.push_back(id);
-    if (record.expires <= now) continue;  // lapsed on its own: no push owed
+  // Promises answered under the current epoch are still good (e.g. an
+  // anti-entropy sweep with no rebind since the grant); older ones are
+  // void, and the unexpired among them are owed a push.
+  auto voided = [epoch](const LeaseRecord& r) { return r.epoch < epoch; };
+  std::vector<LeaseRecord>& records = ctx_it->second;
+  for (const LeaseRecord& record : records) {
+    if (!voided(record) || record.expires <= now) continue;
     // Callback push. The rebind time lets the holder measure the
     // staleness window this push closed. Subject to loss/partition like
     // all traffic — the lease term itself is the holder's fallback bound.
     invalidates_pushed_->inc();
     tracer.record(now, EventKind::kInvalidate, 0, ctx.value(), epoch);
-    (void)transport_.send(server->second, record.holder,
-                          encode_invalidate(Invalidate{id, ctx, epoch, now}));
+    (void)transport_.send(
+        server->second.endpoint, record.holder,
+        encode_invalidate(Invalidate{record.id, ctx, epoch, now}));
   }
-  for (std::uint64_t id : voided) erase_lease(table, id);
+  table.count -= std::erase_if(records, voided);
+  if (records.empty()) table.by_ctx.erase(ctx_it);
 }
 
 void NameService::drop_leases(MachineId machine, EntityId ctx) {
@@ -158,8 +142,8 @@ void NameService::drop_leases(MachineId machine, EntityId ctx) {
   LeaseTable& table = lease_it->second;
   auto ctx_it = table.by_ctx.find(ctx);
   if (ctx_it == table.by_ctx.end()) return;
-  std::vector<std::uint64_t> ids = ctx_it->second;
-  for (std::uint64_t id : ids) erase_lease(table, id);
+  table.count -= ctx_it->second.size();
+  table.by_ctx.erase(ctx_it);
 }
 
 void NameService::open_migration_intake(MachineId target,
@@ -271,24 +255,25 @@ void NameService::track_subtree_loads(const NamingGraph& graph,
 EndpointId NameService::add_server(MachineId machine) {
   NAMECOH_CHECK(!servers_.contains(machine),
                 "machine already has a name server");
-  EndpointId server = net_.add_endpoint(machine, "nameserver");
-  servers_[machine] = server;
+  const EndpointId endpoint = net_.add_endpoint(machine, "nameserver");
   // Per-machine load signals for the rebalance planner: requests served
   // and FIFO queue-wait ticks (docs/REBALANCING.md, "Planner signals").
   MetricsRegistry& metrics = transport_.metrics();
   const std::string mprefix =
       "ns.server.m" + std::to_string(machine.value()) + ".";
-  load_[machine] = MachineLoad{&metrics.counter(mprefix + "served"),
-                               &metrics.counter(mprefix + "wait_ticks")};
+  // The handler holds the record itself: map nodes never move, and
+  // remove_server clears the handler before it erases the record.
+  Server& server = servers_[machine];
+  server = Server{endpoint, &metrics.counter(mprefix + "served"),
+                  &metrics.counter(mprefix + "wait_ticks")};
   transport_.set_handler(
-      server, [this, machine](EndpointId self, const Message& message) {
+      endpoint, [this, &server](EndpointId self, const Message& message) {
         if (message.type == NsWire::kUpdatePush) {
           handle_update(self, message);
           return;
         }
-        const MachineLoad& load = load_.at(machine);
+        server.served->inc();
         if (service_time_ == 0) {
-          load.served->inc();
           handle_request(self, message);
           return;
         }
@@ -298,31 +283,29 @@ EndpointId NameService::add_server(MachineId machine) {
         // authority's latency grows with its queue and sharding the
         // namespace buys real throughput.
         Simulator& sim = transport_.simulator();
-        SimTime& busy = busy_until_[machine];
-        const SimTime begin = std::max(busy, sim.now());
-        busy = begin + service_time_;
-        load.served->inc();
-        load.wait_ticks->inc(begin - sim.now());
-        sim.schedule_in(busy - sim.now(), [this, self, message] {
-          handle_request(self, message);
-        });
+        const SimTime begin = std::max(server.busy_until, sim.now());
+        server.busy_until = begin + service_time_;
+        server.wait_ticks->inc(begin - sim.now());
+        sim.schedule_in(server.busy_until - sim.now(),
+                        [this, self, message] {
+                          handle_request(self, message);
+                        });
       });
-  return server;
+  return endpoint;
 }
 
 void NameService::remove_server(MachineId machine) {
   auto it = servers_.find(machine);
   if (it == servers_.end()) return;
-  transport_.clear_handler(it->second);
+  transport_.clear_handler(it->second.endpoint);
   // not_found only means the endpoint is already gone, as wanted here.
-  (void)net_.remove_endpoint(it->second);
+  (void)net_.remove_endpoint(it->second.endpoint);
+  // The departed server can honor no promise and answer no straggler: its
+  // record (and with it the FIFO horizon, so a re-added server starts
+  // idle), its lease table and its forwarding tombstones go with it.
   servers_.erase(it);
-  // The departed server can honor no promise and answer no straggler:
-  // its lease table and forwarding tombstones go with it. busy_until_ is
-  // reset so a re-added server starts with an empty FIFO.
   leases_.erase(machine);
   forwarding_.erase(machine);
-  busy_until_.erase(machine);
 }
 
 void NameService::set_service_time(SimDuration per_request) {
@@ -334,7 +317,7 @@ Result<EndpointId> NameService::server_on(MachineId machine) const {
   if (it == servers_.end()) {
     return unreachable_error("no name server on machine");
   }
-  return it->second;
+  return it->second.endpoint;
 }
 
 void NameService::publish_update(EntityId ctx) {
@@ -532,9 +515,9 @@ std::optional<NameService::LiveServer> NameService::live_server(
     MachineId machine) const {
   auto it = servers_.find(machine);
   if (it == servers_.end()) return std::nullopt;
-  auto loc = net_.location_of(it->second);
+  auto loc = net_.location_of(it->second.endpoint);
   if (!loc.is_ok()) return std::nullopt;
-  return LiveServer{it->second, loc.value()};
+  return LiveServer{it->second.endpoint, loc.value()};
 }
 
 void NameService::handle_request(EndpointId self, const Message& message) {
@@ -586,7 +569,7 @@ std::optional<NameService::Inbound> NameService::admit(
     duplicates_->inc();
     tracer.record(now, EventKind::kServerDuplicate, corr, self.value());
   } else {
-    requests_->inc();
+    requests_received_->inc();
   }
   tracer.record(now, EventKind::kServerHandle, corr, self.value(),
                 start.value());

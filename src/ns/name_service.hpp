@@ -170,20 +170,20 @@ class NameService {
   };
   static constexpr std::uint32_t kNoEntry = 0xffffffffU;
 
-  /// One callback promise: "holder may trust answers about `ctx` until
-  /// `expires`; I will push kInvalidate if `ctx` rebinds before then."
+  /// One callback promise: "holder may trust answers about the context
+  /// until `expires`; I will push kInvalidate if it rebinds before then."
   struct LeaseRecord {
     std::uint64_t id = 0;
-    EntityId ctx;
     Pid holder;            ///< client address relative to the granting server
     SimTime expires = 0;
     std::uint64_t epoch = 0;  ///< authority epoch the holder was answered with
   };
-  /// Per-machine lease table: id-keyed records plus a per-context index so
-  /// a rebind finds its promises without scanning.
+  /// Per-machine lease table, keyed by context so a rebind finds its
+  /// promises without scanning. Each context's records stay in grant
+  /// order, the order push_invalidations sends in; `count` is the total.
   struct LeaseTable {
-    std::unordered_map<std::uint64_t, LeaseRecord> by_id;
-    std::unordered_map<EntityId, std::vector<std::uint64_t>> by_ctx;
+    std::unordered_map<EntityId, std::vector<LeaseRecord>> by_ctx;
+    std::size_t count = 0;
   };
 
   /// One resolve request being served, shared by handle_request's steps.
@@ -197,6 +197,17 @@ class NameService {
     void count(Counter* counter) const {
       if (!duplicate) counter->inc();
     }
+  };
+  /// One machine's server: its endpoint, its load signals for the
+  /// rebalance planner ("ns.server.m<id>.served" / ".wait_ticks": requests
+  /// processed, and the ticks they waited in its FIFO before service
+  /// began), and the tick its FIFO is busy until under the service-time
+  /// model.
+  struct Server {
+    EndpointId endpoint;
+    Counter* served = nullptr;
+    Counter* wait_ticks = nullptr;
+    SimTime busy_until = 0;
   };
   /// A machine's server endpoint and where it lives.
   struct LiveServer {
@@ -259,7 +270,6 @@ class NameService {
   /// Drop `machine`'s lease records for `ctx` without pushing (a secondary
   /// applying a snapshot: its promises are superseded by the primary's).
   void drop_leases(MachineId machine, EntityId ctx);
-  void erase_lease(LeaseTable& table, std::uint64_t id);
 
   /// How many correlation ids the duplicate-suppression window remembers.
   static constexpr std::size_t kDuplicateWindow = 1024;
@@ -268,7 +278,8 @@ class NameService {
   Internetwork& net_;
   Transport& transport_;
   const AuthorityMap& homes_;
-  std::unordered_map<MachineId, EndpointId> servers_;
+  /// One record per machine with a server; remove_server erases it whole.
+  std::unordered_map<MachineId, Server> servers_;
   /// The replica table: what each *secondary* (or migration target) has
   /// applied. store_head_[ctx] indexes the first entry of ctx's chain in
   /// store_entries_ (kNoEntry = no machine holds a snapshot); entries
@@ -288,10 +299,9 @@ class NameService {
   /// Bumped by every start/stop; a scheduled tick carrying an older
   /// generation is stale and must do nothing.
   std::uint64_t ae_gen_ = 0;
-  /// Service-time model: per-request occupancy and per-machine busy
-  /// horizon (FIFO single server per machine).
+  /// Service-time model: per-request occupancy (each machine's FIFO
+  /// horizon is Server::busy_until).
   SimDuration service_time_ = 0;
-  std::unordered_map<MachineId, SimTime> busy_until_;
   /// Lease policy and per-machine outstanding promises.
   SimDuration lease_duration_ = 5000;
   std::size_t lease_capacity_ = 4096;
@@ -314,22 +324,13 @@ class NameService {
   std::unordered_map<MachineId, std::vector<ForwardingWindow>> forwarding_;
   /// Drop every window that has closed.
   void purge_forwarding();
-  /// Per-machine load signals for the rebalance planner
-  /// ("ns.server.m<id>.served" / ".wait_ticks"): how many requests this
-  /// machine's server processed, and the total ticks they waited in its
-  /// FIFO queue before service began.
-  struct MachineLoad {
-    Counter* served = nullptr;
-    Counter* wait_ticks = nullptr;
-  };
-  std::unordered_map<MachineId, MachineLoad> load_;
   /// Subtree load attribution (track_subtree_loads): dense entity →
   /// claiming-root slot (kNoSlot = unclaimed) and the per-root hit
   /// counters, indexed by slot.
   static constexpr std::uint32_t kNoSlot = ~static_cast<std::uint32_t>(0);
   std::vector<std::uint32_t> subtree_slot_;
   std::vector<Counter*> subtree_hits_;
-  Counter* requests_;
+  Counter* requests_received_;
   Counter* answers_;
   Counter* referrals_;
   Counter* failures_;

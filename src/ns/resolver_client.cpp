@@ -103,13 +103,12 @@ ResolverClient::~ResolverClient() {
   transport_.clear_handler(endpoint_);
   (void)net_.remove_endpoint(endpoint_);
   // Settle anything still in flight: continuations scheduled on the
-  // simulator capture `this` by id and must never fire after destruction,
-  // and waiters holding a handle deserve an answer, not a hang.
-  auto requests = std::move(requests_);
-  requests_.clear();
+  // simulator capture `this` and must never fire after destruction, and
+  // waiters holding a handle deserve an answer, not a hang.
+  auto exchanges = std::move(inflight_);
   inflight_.clear();
   corr_to_request_.clear();
-  for (auto& [id, record] : requests) {
+  for (auto& [key, record] : exchanges) {
     if (record->timeout_event.valid()) sim_.cancel(record->timeout_event);
     std::vector<Waiter> waiters = std::move(record->waiters);
     for (Waiter& waiter : waiters) {
@@ -353,7 +352,6 @@ void ResolverClient::complete(PendingResolve& p,
     corr_to_request_.erase(p.expected_corr);
     p.expected_corr = 0;
   }
-  inflight_.erase(p.key);
   if (p.refresh && !result.is_ok()) {
     // A failed background renewal: stop pretending the promise holds.
     // The entry keeps serving until its plain TTL runs out (the lease-off
@@ -368,7 +366,7 @@ void ResolverClient::complete(PendingResolve& p,
   // running inside one of its continuations), and a callback is free to
   // submit new resolutions — including one with this very key — without
   // colliding with a half-dead entry.
-  auto node = requests_.extract(p.id);
+  auto node = inflight_.extract(p.key);
   std::vector<Waiter> waiters = std::move(p.waiters);
   for (Waiter& waiter : waiters) settle_waiter(waiter, result);
 }
@@ -424,7 +422,7 @@ void ResolverClient::send_attempt(PendingResolve& p) {
   const ResolveRequest request{
       p.expected_corr, p.current, p.hop_text,
       config_.lease_coherence ? NsWire::kFlagLeaseRequested : 0};
-  corr_to_request_[p.expected_corr] = p.id;
+  corr_to_request_[p.expected_corr] = &p;
   messages_sent_->inc();
   Status sent = transport_.send(endpoint_, target.pid,
                                 encode_resolve_request(request));
@@ -436,16 +434,17 @@ void ResolverClient::send_attempt(PendingResolve& p) {
     fail_candidate(p, std::move(sent));
     return;
   }
-  const std::uint64_t id = p.id;
+  const std::uint64_t corr = p.expected_corr;
   p.timeout_deferred = false;
   p.timeout_event =
-      sim_.schedule_in(p.timeout, [this, id] { on_timeout(id); });
+      sim_.schedule_in(p.timeout, [this, corr] { on_timeout(corr); });
 }
 
-void ResolverClient::on_timeout(std::uint64_t id) {
-  auto it = requests_.find(id);
-  if (it == requests_.end()) return;  // settled at this very tick
-  PendingResolve& p = *it->second;
+void ResolverClient::on_timeout(std::uint64_t corr) {
+  // The same rule as handle_reply: act only while the corr is awaited.
+  auto route = corr_to_request_.find(corr);
+  if (route == corr_to_request_.end()) return;  // answered or settled
+  PendingResolve& p = *route->second;
   // Deadline ties go to the reply: the blocking resolver drained every
   // event with timestamp <= deadline before declaring the attempt lost, so
   // a reply landing exactly at the deadline won. Reproduce that by
@@ -457,15 +456,15 @@ void ResolverClient::on_timeout(std::uint64_t id) {
   auto next = sim_.next_event_time();
   if (!p.timeout_deferred && next && *next == sim_.now()) {
     p.timeout_deferred = true;
-    p.timeout_event = sim_.schedule_in(0, [this, id] { on_timeout(id); });
+    p.timeout_event =
+        sim_.schedule_in(0, [this, corr] { on_timeout(corr); });
     return;
   }
   p.timeout_event = EventId();
-  corr_to_request_.erase(p.expected_corr);
+  corr_to_request_.erase(route);
   timeouts_->inc();
   transport_.tracer().record_in_span(p.owner_span, sim_.now(),
-                                     EventKind::kTimeout, p.expected_corr,
-                                     p.timeout);
+                                     EventKind::kTimeout, corr, p.timeout);
   p.expected_corr = 0;
   if (p.attempt < config_.retry.retries) {
     // Silence: the request or the reply was lost (or is slower than the
@@ -522,10 +521,7 @@ void ResolverClient::handle_reply(const Message& message) {
                                corr, endpoint_.value());
     return;
   }
-  auto it = requests_.find(route->second);
-  NAMECOH_CHECK(it != requests_.end(),
-                "correlation id routed to a settled request");
-  PendingResolve& p = *it->second;
+  PendingResolve& p = *route->second;
   corr_to_request_.erase(route);
   p.expected_corr = 0;
   sim_.cancel(std::exchange(p.timeout_event, EventId()));  // none: a no-op
@@ -658,8 +654,7 @@ Result<ResolverClient::PendingResolve*> ResolverClient::launch_exchange(
   auto local = route_to(client_machine_);
   if (!local.is_ok()) return local.status();
   const EntityId start = key.start;
-  const std::uint64_t id = next_request_id_++;
-  auto record = std::make_unique<PendingResolve>(id, std::move(key));
+  auto record = std::make_unique<PendingResolve>(std::move(key));
   record->refresh = refresh;
   record->current = start;
   // The unresolved tail is a slice of the *record's own* copy of the name
@@ -690,8 +685,7 @@ Result<ResolverClient::PendingResolve*> ResolverClient::launch_exchange(
     }
   }
   PendingResolve& p = *record;
-  requests_.emplace(id, std::move(record));
-  inflight_.emplace(p.key, &p);
+  inflight_.emplace(p.key, std::move(record));
   return &p;
 }
 
@@ -774,7 +768,8 @@ ResolveHandle ResolverClient::resolve_async(EntityId start,
     PendingResolve& live = *in->second;
     coalesced_->inc();
     tracer.record_in_span(waiter.state->span, sim_.now(),
-                          EventKind::kCoalesced, start.value(), live.id);
+                          EventKind::kCoalesced, start.value(),
+                          live.owner_span);
     live.waiters.push_back(std::move(waiter));
     return handle;
   }

@@ -187,7 +187,7 @@ class ResolverClient {
 
   [[nodiscard]] EndpointId endpoint() const { return endpoint_; }
   /// Resolutions currently in flight (coalesced waiters share one entry).
-  [[nodiscard]] std::size_t inflight() const { return requests_.size(); }
+  [[nodiscard]] std::size_t inflight() const { return inflight_.size(); }
 
   void clear_cache() {
     cache_.clear();
@@ -261,13 +261,11 @@ class ResolverClient {
 
   /// The per-request state machine (docs/ASYNC.md). Heap-pinned for its
   /// whole life: `remaining` is a slice into `key.name`'s inline buffer
-  /// and scheduled continuations hold the record's id, so the record must
-  /// never move.
+  /// and the engine maps point at the record, so it must never move.
   struct PendingResolve {
-    PendingResolve(std::uint64_t request_id, CacheKey request_key)
-        : id(request_id), key(std::move(request_key)) {}
+    explicit PendingResolve(CacheKey request_key)
+        : key(std::move(request_key)) {}
 
-    std::uint64_t id;
     CacheKey key;          ///< owns the name the slices point into
     bool refresh = false;  ///< background lease renewal: no waiters, does
                            ///< not count as a resolution
@@ -305,7 +303,9 @@ class ResolverClient {
   void start_hop(PendingResolve& p);
   void begin_candidate(PendingResolve& p);
   void send_attempt(PendingResolve& p);
-  void on_timeout(std::uint64_t id);
+  /// The deadline of the attempt sent under `corr`; a no-op once that
+  /// corr is no longer awaited (answered, or its exchange settled).
+  void on_timeout(std::uint64_t corr);
   void handle_reply(const Message& message);
   void on_reply(PendingResolve& p, const ResolveReply& reply);
   /// Server-pushed kInvalidate: bump the epoch high-water
@@ -331,7 +331,8 @@ class ResolverClient {
   /// The route to `machine`'s server, stamped with its membership
   /// incarnation; fails when it has no server or an endpoint is dead.
   [[nodiscard]] Result<ReplicaRef> route_to(MachineId machine) const;
-  /// Detach the request from every engine map, then settle all waiters.
+  /// Unroute the outstanding corr and take the exchange out of inflight_,
+  /// then settle all waiters.
   void complete(PendingResolve& p, const Result<EntityId>& result);
   /// Close the waiter's span, count failures, store the result, invoke the
   /// callback. The one funnel every outcome (sync or async) goes through.
@@ -423,20 +424,19 @@ class ResolverClient {
   /// shard.
   std::unordered_map<EntityId, std::uint64_t> ctx_shards_;
 
-  // Engine state. Requests are keyed by a client-local id; the unique_ptr
-  // pins each record so slices and continuations stay valid. A reply is
-  // accepted only when its correlation id is routed in corr_to_request_ —
-  // the id is unrouted the moment an attempt times out or settles, so a
-  // delayed reply from an earlier attempt, an earlier hop, or another
-  // resolution can never be mis-taken for a current answer.
+  // Engine state: two maps, one per way in. inflight_ owns every exchange
+  // under its key — one live exchange per (start, name), which is the
+  // coalescing rule — and its unique_ptr pins the record so slices into
+  // the key stay valid. corr_to_request_ routes the one awaited
+  // correlation id of each exchange to its record. A reply and a timeout
+  // both act only while their corr is routed there; the id is unrouted the
+  // moment its attempt times out, is answered or settles, so a delayed
+  // reply or deadline from an earlier attempt, an earlier hop, or another
+  // resolution can never be mistaken for a current one.
   std::uint64_t next_corr_ = 1;
-  std::uint64_t next_request_id_ = 1;
-  std::unordered_map<std::uint64_t, std::unique_ptr<PendingResolve>>
-      requests_;
-  /// Identical-lookup index for coalescing: key → its one live exchange.
-  std::unordered_map<CacheKey, PendingResolve*, CacheKeyHash> inflight_;
-  /// Currently-awaited correlation ids → owning request id.
-  std::unordered_map<std::uint64_t, std::uint64_t> corr_to_request_;
+  std::unordered_map<CacheKey, std::unique_ptr<PendingResolve>, CacheKeyHash>
+      inflight_;
+  std::unordered_map<std::uint64_t, PendingResolve*> corr_to_request_;
   MachineId client_machine_;  ///< where this client endpoint lives
   /// Membership view for route healing; nullptr = membership-blind.
   const MembershipDirectory* membership_ = nullptr;

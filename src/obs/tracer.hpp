@@ -51,11 +51,12 @@ enum class EventKind : std::uint8_t {
   kNegativeHit,     ///< cached error served
   kStaleEpochDrop,  ///< a = authority, b = superseded epoch
   kReferralFollowed,///< a = next start context, b = hop number
-  kTimeout,         ///< a = attempt number, b = timeout that expired
+  kTimeout,         ///< a = the attempt's corr, b = timeout that expired
   kBackoffRetry,    ///< a = attempt number
   kStaleReplyDropped,
   kCoalesced,       ///< waiter attached to an identical in-flight lookup;
-                    ///< a = start entity, b = owning request id
+                    ///< a = start entity, b = the exchange owner's span
+                    ///< (0: a lease refresh, or traced off at submit)
   // Transport.
   kSend,            ///< a = sender endpoint, b = frame bytes
   kDrop,            ///< a = sender endpoint

@@ -176,6 +176,7 @@ TEST_F(PipelineTest, IdenticalInflightLookupsShareOneWireExchange) {
       [](const TraceEvent& e) { return e.kind == EventKind::kCoalesced; });
   ASSERT_NE(coalesced, attached_events.end());
   EXPECT_EQ(coalesced->a, root_.value());
+  EXPECT_EQ(coalesced->b, owner.span());  // the exchange it attached to
   EXPECT_EQ(std::count_if(attached_events.begin(), attached_events.end(),
                           [](const TraceEvent& e) {
                             return e.kind == EventKind::kCoalesced;
