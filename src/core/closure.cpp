@@ -165,15 +165,4 @@ Resolution resolve_with_rule(const NamingGraph& graph,
   return resolve_from(graph, ctx.value(), name, options);
 }
 
-Resolution resolve_with_closure(const NamingGraph& graph,
-                                const ClosureTable& table,
-                                const Circumstance& circumstance,
-                                const CompoundName& name,
-                                ResolveOptions options) {
-  const auto rule = options.closure == RuleKind::kPerSource
-                        ? make_coherent_per_source_rule()
-                        : make_rule(options.closure);
-  return resolve_with_rule(graph, table, *rule, circumstance, name, options);
-}
-
 }  // namespace namecoh

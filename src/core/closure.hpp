@@ -87,9 +87,8 @@ class ClosureTable {
   std::unordered_map<EntityId, EntityId> object_contexts_;
 };
 
-// RuleKind (and rule_kind_name) moved to core/resolve.hpp so the unified
-// ResolveOptions can carry the closure choice; this header re-exports them
-// through its include of resolve.hpp.
+// RuleKind (and rule_kind_name) are declared in core/resolve.hpp; this
+// header re-exports them through its include of resolve.hpp.
 
 /// A resolution rule R ∈ [M → C]. Stateless; the state lives in the
 /// ClosureTable.
@@ -184,15 +183,5 @@ Resolution resolve_with_rule(const NamingGraph& graph,
                              const Circumstance& circumstance,
                              const CompoundName& name,
                              ResolveOptions options = {});
-
-/// Rule-less form: the rule is named by `options.closure` instead of passed
-/// as an object, so callers that already carry a ResolveOptions need no
-/// second rule-shaped parameter (the "one options struct" entry point;
-/// DESIGN.md).
-Resolution resolve_with_closure(const NamingGraph& graph,
-                                const ClosureTable& table,
-                                const Circumstance& circumstance,
-                                const CompoundName& name,
-                                ResolveOptions options = {});
 
 }  // namespace namecoh

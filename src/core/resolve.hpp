@@ -25,8 +25,7 @@ namespace namecoh {
 class Tracer;
 
 /// Which closure rule selects the context a name is resolved in (§3); the
-/// rule objects themselves live in core/closure.hpp. Declared here so
-/// ResolveOptions can carry the choice as plain data.
+/// rule objects themselves live in core/closure.hpp.
 enum class RuleKind : std::uint8_t {
   kByActivity,
   kByReceiver,
@@ -37,29 +36,17 @@ enum class RuleKind : std::uint8_t {
 
 std::string_view rule_kind_name(RuleKind kind);
 
-/// The one options struct every resolution entry point consumes — the local
-/// walk (resolve/resolve_from), the closure-rule wrappers
-/// (resolve_with_rule/resolve_with_closure), and the distributed
-/// ResolverClient (via ResolverClientConfig::resolve). Each consumer reads
-/// the fields that apply to its layer and documents the ones it ignores
-/// (DESIGN.md "one options struct").
+/// Limits of the local walk (resolve/resolve_from and resolve_with_rule).
+/// The distributed ResolverClient keeps its own referral limit in
+/// ResolverClientConfig: no limit is shared between the two layers
+/// (DESIGN.md "each layer's limits live in its own config").
 struct ResolveOptions {
   /// Maximum number of resolution steps (compound-name components
-  /// processed) in the local walk. Generous default: real paths are far
-  /// shorter. Ignored by the distributed client (each *server* walks under
-  /// its own limit).
+  /// processed). Generous default: real paths are far shorter.
   std::size_t max_steps = 256;
-  /// Referral-chase limit (cycle guard) for distributed resolution: how
-  /// many referrals a ResolverClient follows before giving up. Ignored by
-  /// the local walk, which never leaves the process.
-  std::size_t max_referrals = 32;
-  /// Closure rule applied by the rule-less entry point
-  /// (resolve_with_closure); the explicit-rule forms ignore it.
-  RuleKind closure = RuleKind::kByActivity;
   /// Optional observability sink: when set and enabled, each resolution is
   /// one span with a kResolveStep event per component consumed. Local
-  /// resolution has no clock, so events are stamped at t=0. The
-  /// distributed client ignores it and uses its transport's tracer.
+  /// resolution has no clock, so events are stamped at t=0.
   Tracer* tracer = nullptr;
 };
 

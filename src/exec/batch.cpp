@@ -23,20 +23,19 @@ std::vector<double> step_boundaries() {
 /// sharded).
 void resolve_slice(const NamingGraph& graph,
                    std::span<const BatchQuery> queries, std::size_t begin,
-                   std::size_t end, const ResolveOptions& base,
-                   std::vector<Resolution>& results, MetricsShard* shard,
-                   Tracer* tracer, const std::string& prefix) {
-  ResolveOptions options = base;
+                   std::size_t end, std::vector<Resolution>& results,
+                   MetricsShard* shard, Tracer* tracer) {
+  ResolveOptions options;
   options.tracer = tracer;
   Counter* resolutions = nullptr;
   Counter* ok = nullptr;
   Counter* failed = nullptr;
   Histogram* steps = nullptr;
   if (shard != nullptr) {
-    resolutions = &shard->counter(prefix + ".resolutions");
-    ok = &shard->counter(prefix + ".ok");
-    failed = &shard->counter(prefix + ".failed");
-    steps = &shard->histogram(prefix + ".steps", step_boundaries());
+    resolutions = &shard->counter("exec.batch.resolutions");
+    ok = &shard->counter("exec.batch.ok");
+    failed = &shard->counter("exec.batch.failed");
+    steps = &shard->histogram("exec.batch.steps", step_boundaries());
   }
   for (std::size_t i = begin; i < end; ++i) {
     Resolution res = resolve_from(graph, queries[i].start, queries[i].name,
@@ -62,11 +61,6 @@ void tally(BatchOutcome& outcome) {
 
 }  // namespace
 
-WorkerPool& default_pool() {
-  static WorkerPool pool(WorkerPool::hardware_workers());
-  return pool;
-}
-
 BatchOutcome resolve_batch(SeqPolicy, const NamingGraph& graph,
                            std::span<const BatchQuery> queries,
                            const BatchOptions& options) {
@@ -77,11 +71,10 @@ BatchOutcome resolve_batch(SeqPolicy, const NamingGraph& graph,
   // may touch, not how many threads run it.
   PureComputeSection fence(options.sim);
   MetricsShard shard;
-  resolve_slice(graph, queries, 0, queries.size(), options.resolve,
-                outcome.results, options.metrics ? &shard : nullptr,
-                options.tracer, options.metric_prefix);
+  resolve_slice(graph, queries, 0, queries.size(), outcome.results,
+                options.metrics ? &shard : nullptr, options.tracer);
   if (options.metrics != nullptr) {
-    shard.counter(options.metric_prefix + ".batches").inc();
+    shard.counter("exec.batch.batches").inc();
     shard.merge_into(*options.metrics);
   }
   tally(outcome);
@@ -91,7 +84,8 @@ BatchOutcome resolve_batch(SeqPolicy, const NamingGraph& graph,
 BatchOutcome resolve_batch(ParPolicy policy, const NamingGraph& graph,
                            std::span<const BatchQuery> queries,
                            const BatchOptions& options) {
-  WorkerPool& pool = policy.pool != nullptr ? *policy.pool : default_pool();
+  NAMECOH_CHECK(policy.pool != nullptr, "ParPolicy needs a worker pool");
+  WorkerPool& pool = *policy.pool;
   const std::size_t workers =
       std::max<std::size_t>(1, policy.threads == 0
                                    ? pool.size()
@@ -124,18 +118,16 @@ BatchOutcome resolve_batch(ParPolicy policy, const NamingGraph& graph,
       // Contiguous slices: worker w owns [w*n/W, (w+1)*n/W).
       const std::size_t begin = worker * n / workers;
       const std::size_t end = (worker + 1) * n / workers;
-      resolve_slice(graph, queries, begin, end, options.resolve,
-                    outcome.results,
+      resolve_slice(graph, queries, begin, end, outcome.results,
                     options.metrics ? &shards[worker] : nullptr,
-                    trace ? tracers[worker].get() : nullptr,
-                    options.metric_prefix);
+                    trace ? tracers[worker].get() : nullptr);
     });
   }
 
   if (options.metrics != nullptr) {
     for (MetricsShard& shard : shards) shard.merge_into(*options.metrics);
     MetricsShard batch_shard;
-    batch_shard.counter(options.metric_prefix + ".batches").inc();
+    batch_shard.counter("exec.batch.batches").inc();
     batch_shard.merge_into(*options.metrics);
   }
   if (trace) {

@@ -24,7 +24,6 @@
 #pragma once
 
 #include <span>
-#include <string>
 #include <vector>
 
 #include "core/resolve.hpp"
@@ -47,22 +46,19 @@ struct BatchQuery {
 };
 
 struct BatchOptions {
-  /// Per-resolution options. The tracer field is ignored — use
-  /// BatchOptions::tracer, which the engine routes through per-worker
-  /// tracers and merges (a single shared tracer would race).
-  ResolveOptions resolve{};
-  /// When set, per-batch instruments are recorded under `metric_prefix`:
+  /// When set, per-batch instruments are recorded under `exec.batch`:
   /// .batches, .resolutions, .ok, .failed (counters) and .steps
   /// (histogram). Always written via MetricsShard merge, so seq and par
   /// snapshots match byte-for-byte.
   MetricsRegistry* metrics = nullptr;
   /// When set and enabled, every resolution records a span (kResolveStep
-  /// per component, as in core/resolve.cpp).
+  /// per component, as in core/resolve.cpp). Under ParPolicy the engine
+  /// routes spans through per-worker tracers and merges them (a single
+  /// shared tracer would race).
   Tracer* tracer = nullptr;
   /// When set, the simulator is fenced (PureComputeSection) while the
   /// batch runs.
   Simulator* sim = nullptr;
-  std::string metric_prefix = "exec.batch";
 };
 
 struct BatchOutcome {
@@ -75,15 +71,9 @@ struct BatchOutcome {
 BatchOutcome resolve_batch(SeqPolicy policy, const NamingGraph& graph,
                            std::span<const BatchQuery> queries,
                            const BatchOptions& options = {});
+/// Throws PreconditionError when policy.pool is null.
 BatchOutcome resolve_batch(ParPolicy policy, const NamingGraph& graph,
                            std::span<const BatchQuery> queries,
                            const BatchOptions& options = {});
-
-/// Policy-less form: runs under the compile-time DefaultPolicy.
-inline BatchOutcome resolve_batch(const NamingGraph& graph,
-                                  std::span<const BatchQuery> queries,
-                                  const BatchOptions& options = {}) {
-  return resolve_batch(DefaultPolicy{}, graph, queries, options);
-}
 
 }  // namespace namecoh::exec

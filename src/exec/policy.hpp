@@ -19,11 +19,8 @@
 //     order. Deterministic at the *result* level (see the contract in
 //     docs/PARALLELISM.md), not the interleaving level.
 //
-// The compile-time default for policy-less call sites is SeqPolicy; build
-// with -DNAMECOH_EXEC_DEFAULT_PAR to flip the default to ParPolicy on the
-// shared process-wide pool (sized to the hardware). Determinism gates
-// compile the par engine in but leave the default seq, asserting seq-mode
-// histories stay bit-identical with the parallel machinery present.
+// Every entry point takes its policy explicitly, and a ParPolicy names the
+// pool it runs on.
 #pragma once
 
 #include <cstddef>
@@ -37,29 +34,11 @@ struct SeqPolicy {};
 
 /// Run on a real-thread worker pool.
 struct ParPolicy {
-  /// Pool to run on; nullptr uses the shared default_pool().
+  /// Pool to run on; must be set (a null pool is a precondition failure).
   WorkerPool* pool = nullptr;
   /// Cap on workers actually used (0 = the pool's full width). Slices are
   /// partitioned across min(threads, pool size) workers.
   std::size_t threads = 0;
 };
-
-/// The process-wide pool ParPolicy{} falls back to: hardware-wide, built on
-/// first use, alive for the process lifetime.
-WorkerPool& default_pool();
-
-#if defined(NAMECOH_EXEC_DEFAULT_PAR)
-using DefaultPolicy = ParPolicy;
-#else
-using DefaultPolicy = SeqPolicy;
-#endif
-
-/// True when the policy-less entry points run parallel (compile-time).
-inline constexpr bool kDefaultIsParallel =
-#if defined(NAMECOH_EXEC_DEFAULT_PAR)
-    true;
-#else
-    false;
-#endif
 
 }  // namespace namecoh::exec

@@ -156,8 +156,7 @@ Status MembershipDirectory::rejoin(MachineId machine) {
   joins_->inc();
   service_.tracer().record(sim_.now(), EventKind::kMemberJoin, 0,
                            machine.value(), member.incarnation);
-  if (managed_ && options_.rebalance_on_join &&
-      member.shard != AuthorityMap::kNoShard) {
+  if (managed_ && member.shard != AuthorityMap::kNoShard) {
     // The ring hands the rejoined shard exactly its old share back
     // (hash stability), as live migrations — the reverse of its leave.
     ring_.add_shard(member.shard);
@@ -186,8 +185,14 @@ Status MembershipDirectory::rename(MachineId machine) {
   Member& member = it->second;
   ++member.incarnation;
   if (old_address) {
-    tombstones_.push_back(RenameTombstone{
-        *old_address, machine, sim_.now() + options_.rename_window});
+    // Arming a tombstone is the one place the list grows, so it is also
+    // where expired ones go: the list holds at most one window's renames.
+    const SimTime now = sim_.now();
+    std::erase_if(tombstones_, [now](const RenameTombstone& tombstone) {
+      return tombstone.expires <= now;
+    });
+    tombstones_.push_back(RenameTombstone{*old_address, machine,
+                                          now + options_.rename_window});
     tombstones_armed_->inc();
   }
   renames_->inc();
@@ -206,20 +211,15 @@ std::uint64_t MembershipDirectory::incarnation(MachineId machine) const {
   return it == members_.end() ? 0 : it->second.incarnation;
 }
 
-void MembershipDirectory::drop_expired_tombstones() const {
-  const SimTime now = sim_.now();
-  std::erase_if(tombstones_, [now](const RenameTombstone& tombstone) {
-    return tombstone.expires <= now;
-  });
-}
-
 std::optional<MachineId> MembershipDirectory::renamed_machine_at(
     const Location& old_address) const {
-  drop_expired_tombstones();
   // Newest match wins: a machine renamed twice inside one window leaves
   // two tombstones, and the later one reflects the later truth.
+  const SimTime now = sim_.now();
   for (auto it = tombstones_.rbegin(); it != tombstones_.rend(); ++it) {
-    if (it->old_address == old_address) return it->machine;
+    if (it->expires > now && it->old_address == old_address) {
+      return it->machine;
+    }
   }
   return std::nullopt;
 }

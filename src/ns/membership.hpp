@@ -71,9 +71,6 @@ struct MembershipOptions {
   /// consultable after a renumbering. Mirrors the migration forwarding
   /// window: inside it, stale routes heal; after it, they are dead.
   SimDuration rename_window = 20000;
-  /// Hand a rejoining machine its ring share back (live migrations
-  /// through the driver). Off = survivors keep everything they inherited.
-  bool rebalance_on_join = true;
 };
 
 /// One planned or completed authority movement caused by a membership
@@ -130,8 +127,8 @@ class MembershipDirectory {
   Status crash_leave(MachineId machine);
 
   /// Bring a kDown machine back: restart it (when it crash-left), bump
-  /// its incarnation, reinstall its server, and — with rebalance_on_join —
-  /// hand its ring share back through the driver.
+  /// its incarnation, reinstall its server, and — when the directory
+  /// manages subtrees — hand its ring share back through the driver.
   Status rejoin(MachineId machine);
 
   /// Renumber the machine (§6): its maddr changes, its MachineId and
@@ -143,10 +140,6 @@ class MembershipDirectory {
   // --- Queries (the client's healing surface) ------------------------------
 
   [[nodiscard]] MemberState state(MachineId machine) const;
-  [[nodiscard]] bool is_up(MachineId machine) const {
-    return state(machine) == MemberState::kUp ||
-           state(machine) == MemberState::kLeaving;
-  }
   /// Bumped on announce, rejoin and rename: a route stamped with an older
   /// incarnation was minted against addresses that may no longer exist.
   [[nodiscard]] std::uint64_t incarnation(MachineId machine) const;
@@ -206,7 +199,6 @@ class MembershipDirectory {
   [[nodiscard]] std::vector<MigrationStep> plan() const;
   /// Whether any member of `shard` is still kUp (kLeaving excluded).
   [[nodiscard]] bool shard_has_live_member(ShardId shard) const;
-  void drop_expired_tombstones() const;
 
   const NamingGraph& graph_;
   Internetwork& net_;
@@ -222,7 +214,8 @@ class MembershipDirectory {
   ShardRing ring_{64};
 
   std::unordered_map<MachineId, Member> members_;
-  mutable std::vector<RenameTombstone> tombstones_;
+  /// Pruned of expired entries each time rename arms a new one.
+  std::vector<RenameTombstone> tombstones_;
   std::deque<QueuedStep> queue_;
   bool step_in_flight_ = false;
   std::vector<HandoffRecord> handoffs_;

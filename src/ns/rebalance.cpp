@@ -4,6 +4,16 @@
 #include <utility>
 
 namespace namecoh {
+namespace {
+
+/// A shard is "hot" when its mean queue wait exceeds this factor × the
+/// median of the other shards' means.
+constexpr double kHotFactor = 2.0;
+/// Shards that served fewer requests than this are ignored on both sides
+/// of the comparison (their means are noise).
+constexpr std::uint64_t kMinServed = 16;
+
+}  // namespace
 
 std::string_view migration_phase_name(MigrationPhase phase) {
   switch (phase) {
@@ -209,8 +219,8 @@ std::vector<ShardLoad> RebalancePlanner::shard_loads() const {
   return loads;
 }
 
-RebalancePlan RebalancePlanner::propose(std::span<const EntityId> candidates,
-                                        PlannerOptions options) const {
+RebalancePlan RebalancePlanner::propose(
+    std::span<const EntityId> candidates) const {
   RebalancePlan plan;
   plan.loads = shard_loads();
   if (plan.loads.size() < 2) {
@@ -221,20 +231,20 @@ RebalancePlan RebalancePlanner::propose(std::span<const EntityId> candidates,
   // the mean.
   const ShardLoad* hot = nullptr;
   for (const ShardLoad& load : plan.loads) {
-    if (load.served < options.min_served) continue;
+    if (load.served < kMinServed) continue;
     if (hot == nullptr || load.mean_wait > hot->mean_wait) hot = &load;
   }
   if (hot == nullptr || hot->mean_wait <= 0.0) {
     plan.reason = "no shard shows queueing above the traffic floor";
     return plan;
   }
-  // Dominance: the hot shard's mean wait must exceed hot_factor × the
+  // Dominance: the hot shard's mean wait must exceed kHotFactor × the
   // median of the other sufficiently-served shards (a lone busy shard
   // with quiet peers still dominates: the median of waits below it is
   // smaller by construction).
   std::vector<double> others;
   for (const ShardLoad& load : plan.loads) {
-    if (load.shard == hot->shard || load.served < options.min_served) continue;
+    if (load.shard == hot->shard || load.served < kMinServed) continue;
     others.push_back(load.mean_wait);
   }
   if (others.empty()) {
@@ -243,14 +253,14 @@ RebalancePlan RebalancePlanner::propose(std::span<const EntityId> candidates,
   }
   std::sort(others.begin(), others.end());
   const double median = others[others.size() / 2];
-  if (hot->mean_wait <= options.hot_factor * median) {
+  if (hot->mean_wait <= kHotFactor * median) {
     plan.reason = "no shard dominates: hottest mean wait " +
                   std::to_string(hot->mean_wait) + " vs peer median " +
                   std::to_string(median);
     return plan;
   }
   // Coldest target: least mean wait (then least served) among the rest —
-  // an idle shard that never cleared min_served is the best destination,
+  // an idle shard that never cleared kMinServed is the best destination,
   // not an ineligible one.
   const ShardLoad* cold = nullptr;
   for (const ShardLoad& load : plan.loads) {
@@ -284,7 +294,7 @@ RebalancePlan RebalancePlanner::propose(std::span<const EntityId> candidates,
   plan.to = cold->shard;
   plan.reason = "shard " + std::to_string(hot->shard) + " mean wait " +
                 std::to_string(hot->mean_wait) + " > " +
-                std::to_string(options.hot_factor) + "x peer median " +
+                std::to_string(kHotFactor) + "x peer median " +
                 std::to_string(median) + "; split subtree " +
                 std::to_string(pick.value()) + " (" +
                 std::to_string(pick_hits) + " hits) onto shard " +

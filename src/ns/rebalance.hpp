@@ -146,15 +146,6 @@ class MigrationDriver {
   Counter* aborted_;
 };
 
-struct PlannerOptions {
-  /// A shard is "hot" when its mean queue wait exceeds hot_factor × the
-  /// median of the other shards' means.
-  double hot_factor = 2.0;
-  /// Shards that served fewer requests than this are ignored on both
-  /// sides of the comparison (their means are noise).
-  std::uint64_t min_served = 16;
-};
-
 /// One shard's load signals, summed over its replica machines.
 struct ShardLoad {
   ShardId shard = AuthorityMap::kNoShard;
@@ -183,10 +174,13 @@ class RebalancePlanner {
 
   /// Propose splitting the hottest of `candidates` (roots registered with
   /// NameService::track_subtree_loads) off the dominating shard onto the
-  /// least-loaded one. `plan.rebalance == false` (with `reason` set) when
-  /// no shard dominates or no candidate lives on the hot shard.
-  [[nodiscard]] RebalancePlan propose(std::span<const EntityId> candidates,
-                                      PlannerOptions options = {}) const;
+  /// least-loaded one. A shard dominates when its mean queue wait exceeds
+  /// twice its peers' median; shards that served fewer than 16 requests
+  /// are left out of that comparison. `plan.rebalance == false` (with
+  /// `reason` set) when no shard dominates or no candidate lives on the
+  /// hot shard.
+  [[nodiscard]] RebalancePlan propose(
+      std::span<const EntityId> candidates) const;
 
  private:
   const AuthorityMap& homes_;

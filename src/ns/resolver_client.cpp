@@ -6,6 +6,13 @@
 #include "ns/membership.hpp"
 
 namespace namecoh {
+namespace {
+
+/// Each loss multiplies the attempt timeout by this (exponential backoff),
+/// up to RetryPolicy::max_timeout.
+constexpr double kBackoffMultiplier = 2.0;
+
+}  // namespace
 
 std::optional<NameSlice> referral_suffix(NameSlice sent,
                                          std::string_view remaining) {
@@ -292,7 +299,7 @@ void ResolverClient::refresh_routes(MachineId machine, const Pid& pid,
 
 bool ResolverClient::heal_target(PendingResolve& p) {
   if (membership_ == nullptr) return false;
-  ReplicaRef& target = p.candidates[p.order[p.candidate]];
+  ReplicaRef& target = p.candidates[p.candidate];
   const MemberState state = membership_->state(target.machine);
   if (state == MemberState::kDown) {
     // The machine left the fabric: skip it without burning the timeout
@@ -374,20 +381,19 @@ void ResolverClient::complete(PendingResolve& p,
 void ResolverClient::start_hop(PendingResolve& p) {
   // Preference order: live replicas first (stable within each class), then
   // quarantined ones as a last resort — a suspect replica is still better
-  // than failing the hop outright.
-  p.order.clear();
-  p.order.reserve(p.candidates.size());
-  for (std::size_t i = 0; i < p.candidates.size(); ++i) {
-    if (!is_suspect(p.candidates[i].machine)) p.order.push_back(i);
-  }
-  for (std::size_t i = 0; i < p.candidates.size(); ++i) {
-    if (is_suspect(p.candidates[i].machine)) p.order.push_back(i);
+  // than failing the hop outright. Every caller has just assigned a fresh
+  // candidate list, so reordering it in place loses nothing.
+  const auto live = [this](const ReplicaRef& ref) {
+    return !is_suspect(ref.machine);
+  };
+  if (!std::all_of(p.candidates.begin(), p.candidates.end(), live)) {
+    std::stable_partition(p.candidates.begin(), p.candidates.end(), live);
   }
   p.candidate = 0;
   p.hop_begin = sim_.now();
   p.failed_over = false;
   p.last_error = unreachable_error("no reachable replica for this hop");
-  if (p.order.empty()) {
+  if (p.candidates.empty()) {
     complete(p, p.last_error);
     return;
   }
@@ -407,7 +413,7 @@ void ResolverClient::send_attempt(PendingResolve& p) {
   // failed over, or completed) — `p` may even be dead.
   if (heal_target(p)) return;
   Tracer& tracer = transport_.tracer();
-  const ReplicaRef& target = p.candidates[p.order[p.candidate]];
+  const ReplicaRef& target = p.candidates[p.candidate];
   p.expected_corr = next_corr_++;
   // Each attempt gets a fresh correlation id; bind it to the owning span
   // before the request leaves so the transport's send/drop/deliver events
@@ -469,9 +475,8 @@ void ResolverClient::on_timeout(std::uint64_t corr) {
   if (p.attempt < config_.retry.retries) {
     // Silence: the request or the reply was lost (or is slower than the
     // timeout). Back off and resend.
-    auto scaled = static_cast<SimDuration>(
-        static_cast<double>(p.timeout) *
-        std::max(1.0, config_.retry.backoff_multiplier));
+    auto scaled = static_cast<SimDuration>(static_cast<double>(p.timeout) *
+                                           kBackoffMultiplier);
     p.timeout = config_.retry.max_timeout > 0 ? std::min(scaled, config_.retry.max_timeout)
                                         : scaled;
     ++p.attempt;
@@ -485,15 +490,15 @@ void ResolverClient::on_timeout(std::uint64_t corr) {
 }
 
 void ResolverClient::fail_candidate(PendingResolve& p, Status error) {
-  const ReplicaRef& prev = p.candidates[p.order[p.candidate]];
+  const ReplicaRef& prev = p.candidates[p.candidate];
   suspect_until_[prev.machine] = sim_.now() + config_.replica_quarantine;
   p.last_error = std::move(error);
-  if (p.candidate + 1 < p.order.size()) {
+  if (p.candidate + 1 < p.candidates.size()) {
     // The candidate exhausted its whole backoff budget: fail over.
     ++p.candidate;
     p.failed_over = true;
     failovers_->inc();
-    const ReplicaRef& next = p.candidates[p.order[p.candidate]];
+    const ReplicaRef& next = p.candidates[p.candidate];
     transport_.tracer().record_in_span(p.owner_span, sim_.now(),
                                        EventKind::kFailover,
                                        prev.machine.value(),
@@ -567,7 +572,7 @@ void ResolverClient::handle_invalidate(const Message& message) {
 
 void ResolverClient::on_reply(PendingResolve& p, const ResolveReply& reply) {
   Tracer& tracer = transport_.tracer();
-  suspect_until_.erase(p.candidates[p.order[p.candidate]].machine);
+  suspect_until_.erase(p.candidates[p.candidate].machine);
   if (p.failed_over) {
     failover_latency_->add(static_cast<double>(sim_.now() - p.hop_begin));
   }
@@ -630,7 +635,7 @@ void ResolverClient::on_reply(PendingResolve& p, const ResolveReply& reply) {
       }
       // The limit-breaking referral is still counted above — the chase
       // just stops here instead of sending another hop.
-      if (p.hops_done == config_.resolve.max_referrals + 1) {
+      if (p.hops_done == config_.max_referrals + 1) {
         complete(p, depth_exceeded_error("referral chase exceeded limit"));
         return;
       }

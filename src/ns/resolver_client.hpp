@@ -29,7 +29,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/resolve.hpp"
+#include "core/name.hpp"
 #include "ns/name_service.hpp"
 #include "util/hash.hpp"
 
@@ -49,11 +49,9 @@ class MembershipDirectory;  // src/ns/membership.hpp
 [[nodiscard]] std::optional<NameSlice> referral_suffix(
     NameSlice sent, std::string_view remaining);
 
-/// Loss-recovery knobs for one class of wire exchange: how often to
-/// resend into silence, and how the per-attempt deadline grows. Grouped so
-/// a policy travels as one value — the client's normal lookups and the
-/// membership-aware rerouting path (docs/MEMBERSHIP.md) can each carry
-/// their own.
+/// Loss-recovery knobs for the client's wire exchanges: how often to
+/// resend into silence, and how long the per-attempt deadline may grow
+/// (each loss doubles it).
 struct RetryPolicy {
   /// Resend attempts per hop after a timeout (the transport reports
   /// nothing; loss shows up as silence). 0 = fail on first timeout.
@@ -61,8 +59,6 @@ struct RetryPolicy {
   /// How long (simulated ticks) to wait for a reply before declaring the
   /// hop lost. Must exceed the worst round trip of the topology.
   SimDuration request_timeout = 5000;
-  /// Timeout multiplier applied after each loss (exponential backoff).
-  double backoff_multiplier = 2.0;
   /// Upper bound for the backed-off timeout. 0 = uncapped.
   SimDuration max_timeout = 60000;
 };
@@ -79,10 +75,10 @@ struct ResolverClientConfig {
   /// Drop cached entries whose authoritative context has answered (any
   /// later request) with a higher rebind epoch.
   bool epoch_invalidation = true;
-  /// The unified resolution options (core/resolve.hpp). The client reads
-  /// `resolve.max_referrals` (its referral-chase cycle guard); the local-
-  /// walk fields are documented there and ignored here.
-  ResolveOptions resolve;
+  /// Referral-chase limit (cycle guard): how many referrals one exchange
+  /// follows before it settles with DEPTH_EXCEEDED. Each server walks its
+  /// own part of the name under its own local step limit.
+  std::size_t max_referrals = 32;
   /// Loss recovery for this client's exchanges: resend attempts, attempt
   /// deadline and its exponential backoff.
   RetryPolicy retry;
@@ -163,8 +159,8 @@ class ResolverClient {
   /// lookup identical to one already in flight (same start, same name
   /// atoms) *coalesces*: it attaches to the existing wire exchange instead
   /// of sending, and settles with it ("coalesced" counter, kCoalesced
-  /// trace event). Every exchange runs under the config's `resolve`
-  /// options, so all waiters on one key settle alike. Cache hits and
+  /// trace event). Every exchange runs under the config's referral
+  /// limit, so all waiters on one key settle alike. Cache hits and
   /// immediately-detectable errors settle synchronously, before this
   /// returns. When the transport's tracer is enabled, each waiter gets its
   /// own span; the wire-level events of a shared exchange are recorded
@@ -273,9 +269,9 @@ class ResolverClient {
     NameSlice remaining;   ///< unresolved tail, narrowed per referral
     std::string hop_text;  ///< wire text of `remaining`
     std::size_t hops_done = 0;  ///< replies processed (referral guard)
-    std::vector<ReplicaRef> candidates;  ///< this hop's replica set
-    std::vector<std::size_t> order;  ///< candidate indices, suspects last
-    std::size_t candidate = 0;  ///< position in `order`
+    /// This hop's replica set, reordered by start_hop: suspects last.
+    std::vector<ReplicaRef> candidates;
+    std::size_t candidate = 0;  ///< position in `candidates`
     std::size_t attempt = 0;    ///< resend attempt on this candidate
     SimDuration timeout = 0;    ///< current (backed-off) attempt timeout
     SimTime hop_begin = 0;

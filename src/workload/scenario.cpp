@@ -223,7 +223,6 @@ void RollingRestart::await_settle() {
     sim_.schedule_in(spec_.gap, [this] { await_settle(); });
     return;
   }
-  ++completed_;
   if (++index_ >= order_.size()) {
     done_ = true;
     return;
@@ -249,7 +248,6 @@ void RollingRenumber::rename_next() {
   const MachineId machine = order_[fired_ % order_.size()];
   NAMECOH_CHECK(members_.rename(machine).is_ok(),
                 "rolling renumber rename refused");
-  ++completed_;
   if (++fired_ >= order_.size() * spec_.rounds) {
     done_ = true;
     return;

@@ -70,7 +70,6 @@ class Cluster {
   [[nodiscard]] ResolverClient& client(std::size_t i = 0) {
     return *clients_.at(i);
   }
-  [[nodiscard]] std::size_t client_count() const { return clients_.size(); }
 
   /// All shard-serving machines, shard-major (shard 0's replicas first).
   [[nodiscard]] const std::vector<MachineId>& machines() const {
@@ -189,7 +188,6 @@ class RollingRestart {
                  std::vector<MachineId> order, RollingRestartSpec spec);
   void start();
   [[nodiscard]] bool done() const { return done_; }
-  [[nodiscard]] std::size_t restarts_completed() const { return completed_; }
 
  private:
   void leave_next();
@@ -200,7 +198,6 @@ class RollingRestart {
   std::vector<MachineId> order_;
   RollingRestartSpec spec_;
   std::size_t index_ = 0;
-  std::size_t completed_ = 0;
   bool done_ = false;
 };
 
@@ -219,7 +216,6 @@ class RollingRenumber {
                   std::vector<MachineId> order, RollingRenumberSpec spec);
   void start();
   [[nodiscard]] bool done() const { return done_; }
-  [[nodiscard]] std::size_t renames_completed() const { return completed_; }
 
  private:
   void rename_next();
@@ -229,7 +225,6 @@ class RollingRenumber {
   std::vector<MachineId> order_;
   RollingRenumberSpec spec_;
   std::size_t fired_ = 0;
-  std::size_t completed_ = 0;
   bool done_ = false;
 };
 

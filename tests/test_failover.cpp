@@ -71,7 +71,6 @@ class FailoverTest : public ::testing::Test {
     ResolverClientConfig config;
     config.retry.request_timeout = 200;
     config.retry.retries = 1;
-    config.retry.backoff_multiplier = 2.0;
     return config;
   }
 

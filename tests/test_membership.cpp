@@ -312,6 +312,17 @@ TEST(MembershipRename, TombstoneMapsOldAddressInsideWindowOnly) {
   cluster->sim().run_until(cluster->sim().now() +
                            fast_membership().rename_window + 1);
   EXPECT_FALSE(members.renamed_machine_at(old_address).has_value());
+
+  // A second rename arms a fresh tombstone (and prunes the expired one):
+  // only the address the machine held just before it maps back.
+  const Location second_address =
+      cluster->net().location_of(server.value()).value();
+  ASSERT_FALSE(second_address == old_address);
+  ASSERT_TRUE(members.rename(m0).is_ok());
+  EXPECT_FALSE(members.renamed_machine_at(old_address).has_value());
+  auto renamed_again = members.renamed_machine_at(second_address);
+  ASSERT_TRUE(renamed_again.has_value());
+  EXPECT_EQ(*renamed_again, m0);
 }
 
 // --- Determinism -------------------------------------------------------------

@@ -245,7 +245,6 @@ TEST_F(NsHardeningTest, TimeoutBackoffConsumesSimulatedTime) {
   ResolverClientConfig config;
   config.retry.retries = 2;
   config.retry.request_timeout = 100;
-  config.retry.backoff_multiplier = 2.0;
   ResolverClient client(net_, drop_transport, sim_, lossy_service,
                         m1_, "c", config);
   SimTime t0 = sim_.now();
@@ -269,7 +268,6 @@ TEST_F(NsHardeningTest, BackoffTimeoutRespectsCap) {
   ResolverClientConfig config;
   config.retry.retries = 3;
   config.retry.request_timeout = 100;
-  config.retry.backoff_multiplier = 2.0;
   config.retry.max_timeout = 150;
   ResolverClient client(net_, drop_transport, sim_, lossy_service,
                         m1_, "c", config);

@@ -351,16 +351,15 @@ TEST(BatchResolve, SeqMatchesDirectResolves) {
   expect_same_resolutions(batch.results, direct);
 }
 
-TEST(BatchResolve, PolicyLessDefaultIsSeqInThisBuild) {
-  // The determinism gate runs with the par engine compiled in but the
-  // compile-time default left sequential.
-  EXPECT_FALSE(exec::kDefaultIsParallel);
+TEST(BatchResolve, ParPolicyWithoutPoolIsRefused) {
+  // A ParPolicy must name the pool it runs on.
   TreeFixture tree(3);
   const CompoundName miss = CompoundName::relative("nope");
   const auto queries = tree.queries(miss);
-  exec::BatchOutcome batch =
-      exec::resolve_batch(tree.graph, {queries.data(), queries.size()});
-  EXPECT_EQ(batch.workers, 1u);
+  EXPECT_THROW((void)exec::resolve_batch(exec::ParPolicy{nullptr, 0},
+                                         tree.graph,
+                                         {queries.data(), queries.size()}),
+               PreconditionError);
 }
 
 // One full seq run: metrics + tracing + fenced simulator. Returns the

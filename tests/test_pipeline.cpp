@@ -1,7 +1,7 @@
 // Tests for the async resolution engine (docs/ASYNC.md): pipelining of
 // concurrent lookups, duplicate-request coalescing (including under
 // message loss), per-request reply state, completion callbacks, handle
-// settlement on client destruction, the unified ResolveOptions limit, and
+// settlement on client destruction, the client's referral limit, and
 // seeded invariants of the engine under loss, reordering and rebinds.
 #include <gtest/gtest.h>
 
@@ -339,11 +339,11 @@ TEST_F(PipelineTest, DestroyedClientSettlesOutstandingHandles) {
   EXPECT_EQ(settled, std::vector<int>(3, 1));
 }
 
-// --- Satellite: the unified ResolveOptions carries the referral limit ------
+// --- The client's referral limit -------------------------------------------
 
 TEST_F(PipelineTest, ReferralLimitZeroReportsDepthExceeded) {
   ResolverClientConfig config;
-  config.resolve.max_referrals = 0;
+  config.max_referrals = 0;
   ResolverClient client(net_, transport_, sim_, service_, m1_, "c",
                         config);
   auto result =
