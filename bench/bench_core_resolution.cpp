@@ -69,8 +69,7 @@ void run_exec_seam_experiment() {
       "U1b: execution-policy seam (seq vs par batch resolution)",
       "Pure local resolutions batched through exec::resolve_batch: seq runs "
       "on the\nsimulator thread, par fans contiguous slices across a real "
-      "worker pool and\nmerges per-worker metric shards at the barrier "
-      "(docs/PARALLELISM.md).");
+      "worker pool and\njoins at the barrier (docs/PARALLELISM.md).");
 
   SyntheticTree tree(8, 2);
   const std::vector<ParallelQuery> queries = batch_queries(tree);

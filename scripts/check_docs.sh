@@ -8,7 +8,11 @@
 #   2. textual file references like docs/PROTOCOLS.md, DESIGN.md,
 #      src/ns/name_service.*, tests/test_failover.cpp, scripts/foo.sh —
 #      the named path must exist (a trailing .* matches any extension);
-#   3. the trace-event taxonomy — every EventKind enumerator in
+#   3. module-relative source references like obs/tracer.hpp or
+#      ns/name_service.* — a word that starts with a src/ module directory
+#      and ends in an extension (or .*) must name a file under src/;
+#      extensionless ones (ns/probe) are units, not paths, and are skipped;
+#   4. the trace-event taxonomy — every EventKind enumerator in
 #      src/obs/tracer.hpp except the kKindCount sentinel must appear, in
 #      backticks, in docs/OBSERVABILITY.md.
 #
@@ -45,6 +49,9 @@ for d in "${all_docs[@]}"; do
 done
 
 failures=0
+
+# src/ module directories, as the alternation of rule 3's pattern.
+modules="$(cd src && ls -d */ | tr -d / | paste -sd'|')"
 
 fail() {
   echo "dangling: $1 -> $2" >&2
@@ -91,9 +98,16 @@ for doc in "${docs[@]}"; do
     fi
   done < <(grep -oP '(?<![A-Za-z0-9_./-])(docs|src|tests|bench|examples|scripts)/[A-Za-z0-9_./*-]+|(?<![A-Za-z0-9_./-])[A-Z][A-Z0-9_]*\.md\b' "$doc" 2>/dev/null \
              | sed 's/[.,;:)]*$//' | sort -u)
+
+  # 3. Module-relative source references, resolved against src/.
+  while IFS= read -r ref; do
+    [[ -z "$ref" ]] && continue
+    exists "src/$ref" || fail "$doc" "$ref"
+  done < <(grep -oP "(?<![A-Za-z0-9_./-])($modules)/[A-Za-z0-9_./*-]+" "$doc" 2>/dev/null \
+             | sed 's/[.,;:)]*$//' | grep -E '\.([A-Za-z0-9]+|\*)$' | sort -u)
 done
 
-# 3. Every trace event kind is documented.
+# 4. Every trace event kind is documented.
 mapfile -t kinds < <(sed -n '/^enum class EventKind/,/^};/p' src/obs/tracer.hpp \
                        | grep -oP '^\s*\Kk[A-Za-z0-9]+(?=\s*(=[^,]*)?,?\s*(//.*)?$)' \
                        | grep -vx kKindCount)

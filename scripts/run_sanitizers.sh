@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Build the whole tree with ASan + UBSan and run the test suite under it,
 # then rebuild the concurrency-sensitive tests with ThreadSanitizer and run
-# those (the execution-policy seam: worker pool, sharded interner, metric
-# shards, batch engine — docs/PARALLELISM.md).
+# those (the execution-policy seam: worker pool, sharded interner, batch
+# engine — docs/PARALLELISM.md). CI's sanitizers job runs this script, so
+# the TSan target list lives here only.
 #
 # Usage: scripts/run_sanitizers.sh [asan-build-dir] [tsan-build-dir]
 set -euo pipefail

@@ -4,23 +4,15 @@
 // path of core/resolve.hpp: no wire, no timeouts, no leases, nothing that
 // touches simulated time. Under SeqPolicy it is exactly the loop a caller
 // would have written; under ParPolicy the batch is split into contiguous
-// per-worker slices, each worker resolves its slice with private
-// observability (a MetricsShard and a worker-local Tracer), and at the
-// barrier the driving thread merges the shards in worker-index order.
+// per-worker slices, and each worker writes only its own slice of the
+// result vector.
 //
 // Determinism contract (asserted by tests/test_parallel_exec.cpp):
-//   * results[i] answers queries[i] under every policy — par mode returns
-//     the *same vector*, not just the same multiset;
-//   * the merged metric snapshot is byte-identical between seq and par
-//     runs of the same batch (counter sums and histogram bucket counts
-//     commute);
-//   * the trace-event history is deterministic per (batch, worker count):
-//     within a worker the order is item order, across workers it is
-//     worker-index order.
+// results[i] answers queries[i] under every policy — par mode returns the
+// *same vector*, not just the same multiset.
 //
-// If a Simulator is supplied in BatchOptions, it is fenced with a
-// PureComputeSection for the duration of the batch: event scheduling from a
-// worker (a layering violation that would race the queue) throws instead.
+// A worker reads a const NamingGraph and gets no callback, so it has no
+// way to reach a Simulator: the signature is the pure-compute boundary.
 #pragma once
 
 #include <span>
@@ -28,12 +20,6 @@
 
 #include "core/resolve.hpp"
 #include "exec/policy.hpp"
-
-namespace namecoh {
-class MetricsRegistry;
-class Simulator;
-class Tracer;
-}  // namespace namecoh
 
 namespace namecoh::exec {
 
@@ -45,22 +31,6 @@ struct BatchQuery {
   NameSlice name;
 };
 
-struct BatchOptions {
-  /// When set, per-batch instruments are recorded under `exec.batch`:
-  /// .batches, .resolutions, .ok, .failed (counters) and .steps
-  /// (histogram). Always written via MetricsShard merge, so seq and par
-  /// snapshots match byte-for-byte.
-  MetricsRegistry* metrics = nullptr;
-  /// When set and enabled, every resolution records a span (kResolveStep
-  /// per component, as in core/resolve.cpp). Under ParPolicy the engine
-  /// routes spans through per-worker tracers and merges them (a single
-  /// shared tracer would race).
-  Tracer* tracer = nullptr;
-  /// When set, the simulator is fenced (PureComputeSection) while the
-  /// batch runs.
-  Simulator* sim = nullptr;
-};
-
 struct BatchOutcome {
   std::vector<Resolution> results;  ///< results[i] answers queries[i]
   std::size_t ok = 0;
@@ -69,11 +39,9 @@ struct BatchOutcome {
 };
 
 BatchOutcome resolve_batch(SeqPolicy policy, const NamingGraph& graph,
-                           std::span<const BatchQuery> queries,
-                           const BatchOptions& options = {});
+                           std::span<const BatchQuery> queries);
 /// Throws PreconditionError when policy.pool is null.
 BatchOutcome resolve_batch(ParPolicy policy, const NamingGraph& graph,
-                           std::span<const BatchQuery> queries,
-                           const BatchOptions& options = {});
+                           std::span<const BatchQuery> queries);
 
 }  // namespace namecoh::exec

@@ -3,21 +3,19 @@
 // Everything in this repository that takes *time* runs on the deterministic
 // single-threaded simulator; everything that is *pure computation* — path
 // parsing, NameTable interning, Context binary search, closure-rule
-// evaluation, span/metric recording into per-worker shards — has no
-// ordering obligations at all, and may run on as many real threads as the
-// hardware offers. namecoh::exec marks that boundary in the type system:
-// entry points that can exploit parallelism take an execution policy as
-// their first parameter (cf. the standard <execution> policies, and
-// TopoGen's ExecutionPolicies.hpp), so every call site names which side of
-// the seam it is on.
+// evaluation — has no ordering obligations at all, and may run on as many
+// real threads as the hardware offers. namecoh::exec marks that boundary in
+// the type system: entry points that can exploit parallelism take an
+// execution policy as their first parameter (cf. the standard <execution>
+// policies, and TopoGen's ExecutionPolicies.hpp), so every call site names
+// which side of the seam it is on.
 //
 //   * SeqPolicy — run on the calling (simulator) thread, in item order.
-//     Bit-identical to the pre-seam code: same intern order, same metric
-//     update order, same trace-event order.
+//     Bit-identical to the pre-seam code: same intern order.
 //   * ParPolicy — run on a real-thread WorkerPool, partitioned into
-//     contiguous per-worker slices, merged at a barrier in worker-index
-//     order. Deterministic at the *result* level (see the contract in
-//     docs/PARALLELISM.md), not the interleaving level.
+//     contiguous per-worker slices, joined at a barrier. Deterministic at
+//     the *result* level (see the contract in docs/PARALLELISM.md), not
+//     the interleaving level.
 //
 // Every entry point takes its policy explicitly, and a ParPolicy names the
 // pool it runs on.

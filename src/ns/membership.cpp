@@ -285,8 +285,6 @@ void MembershipDirectory::pump_queue() {
       [this, step, finish_step](const MigrationReport& report) {
         if (report.phase == MigrationPhase::kDone) {
           handoffs_live_->inc();
-          handoffs_.push_back(
-              HandoffRecord{step.root, step.from, step.to, /*live=*/true});
         } else {
           // Copy could not converge (target unreachable?): the leave must
           // still complete, so cut over without the copy.
@@ -311,8 +309,6 @@ void MembershipDirectory::direct_cutover(const MigrationStep& step,
   } else {
     redelegations_->inc();
   }
-  handoffs_.push_back(
-      HandoffRecord{step.root, step.from, step.to, /*live=*/false});
 }
 
 }  // namespace namecoh

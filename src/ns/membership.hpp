@@ -73,15 +73,6 @@ struct MembershipOptions {
   SimDuration rename_window = 20000;
 };
 
-/// One planned or completed authority movement caused by a membership
-/// event; surfaced for tests and the bench report.
-struct HandoffRecord {
-  EntityId root;
-  ShardId from = AuthorityMap::kNoShard;
-  ShardId to = AuthorityMap::kNoShard;
-  bool live = false;  ///< true = driver-migrated; false = direct cutover
-};
-
 class MembershipDirectory {
  public:
   /// `homes` must be the map `service` resolves against (the directory
@@ -153,10 +144,6 @@ class MembershipDirectory {
   [[nodiscard]] std::size_t up_count() const;
   /// The shard `machine` was announced for (kNoShard when none).
   [[nodiscard]] ShardId shard_of(MachineId machine) const;
-  /// Every authority movement executed so far, in execution order.
-  [[nodiscard]] const std::vector<HandoffRecord>& handoffs() const {
-    return handoffs_;
-  }
   /// True while a graceful handoff / rejoin handback queue is draining.
   [[nodiscard]] bool handoff_active() const {
     return step_in_flight_ || !queue_.empty();
@@ -218,7 +205,6 @@ class MembershipDirectory {
   std::vector<RenameTombstone> tombstones_;
   std::deque<QueuedStep> queue_;
   bool step_in_flight_ = false;
-  std::vector<HandoffRecord> handoffs_;
 
   Counter* joins_;
   Counter* leaves_;

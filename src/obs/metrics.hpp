@@ -42,7 +42,6 @@ class Counter {
 class Gauge {
  public:
   void set(double v) { value_ = v; }
-  void add(double delta) { value_ += delta; }
   [[nodiscard]] double value() const { return value_; }
 
  private:
@@ -52,9 +51,8 @@ class Gauge {
 /// Central registry of named instruments. Get-or-create semantics: asking
 /// for an existing name returns the same instrument, so components that
 /// outlive each other (or intentionally share a name) accumulate into one
-/// slot. Not locked by design — the simulator thread owns it; pool workers
-/// record into private MetricsShards (obs/metrics_shard.hpp) that the
-/// driving thread merges at the batch barrier (docs/PARALLELISM.md).
+/// slot. Not locked by design — the simulator thread owns it, and pool
+/// workers never touch it (docs/PARALLELISM.md).
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;

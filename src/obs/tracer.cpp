@@ -151,41 +151,6 @@ void Tracer::close_span(std::uint64_t span, SimTime at, bool ok) {
   }
 }
 
-void Tracer::absorb(Tracer& other) {
-  if (!enabled_ || !other.enabled_) return;
-  // Spans first: remap worker-local ids onto this tracer's id space. Ids
-  // stay monotonically increasing in spans_, preserving span()'s binary
-  // search invariant.
-  std::unordered_map<std::uint64_t, std::uint64_t> remap;
-  remap.reserve(other.spans_.size());
-  for (const SpanRecord& span : other.spans_) {
-    SpanRecord copy = span;
-    copy.id = next_span_++;
-    // Worker-side correlation routing is not imported; record the corrs for
-    // posterity but do not route them (see header).
-    remap.emplace(span.id, copy.id);
-    if (spans_.size() == kMaxSpans) {
-      for (std::uint64_t corr : spans_.front().corrs) {
-        corr_to_span_.erase(corr);
-      }
-      spans_.pop_front();
-      ++spans_dropped_;
-    }
-    spans_.push_back(std::move(copy));
-  }
-  // Then the buffered events, oldest first, re-keyed onto the new span ids.
-  // Events from spans the worker's ring had already evicted keep span = 0.
-  for (const TraceEvent& event : other.events()) {
-    TraceEvent copy = event;
-    auto it = remap.find(event.span);
-    copy.span = it == remap.end() ? 0 : it->second;
-    push(copy);
-  }
-  dropped_ += other.dropped_;
-  spans_dropped_ += other.spans_dropped_;
-  other.clear();
-}
-
 std::vector<TraceEvent> Tracer::events() const {
   std::vector<TraceEvent> out;
   out.reserve(size_);

@@ -174,19 +174,6 @@ class Tracer {
   void bind_corr(std::uint64_t span, std::uint64_t corr);
   void close_span(std::uint64_t span, SimTime at, bool ok);
 
-  /// Fold another tracer's spans and buffered events into this one —
-  /// the per-worker merge of docs/PARALLELISM.md. Each pool worker records
-  /// into a private Tracer (the class has no shared state, so per-thread
-  /// instances are race-free by construction) and the driving thread
-  /// absorbs them at the batch barrier, in worker-index order, which makes
-  /// the merged history deterministic for a given worker count. Absorbed
-  /// spans are assigned fresh ids here (worker-local ids would collide);
-  /// their events are re-attached under the new ids. Live correlation-id
-  /// routing is NOT imported — absorbed spans are expected to be closed,
-  /// pure-compute spans (wire exchanges belong to the simulator thread).
-  /// No-op when either tracer is disabled; `other` is left cleared.
-  void absorb(Tracer& other);
-
   // --- queries (test / export side) ----------------------------------------
   /// Buffered events, oldest first (at most `capacity()` of them).
   [[nodiscard]] std::vector<TraceEvent> events() const;

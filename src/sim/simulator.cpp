@@ -7,8 +7,6 @@
 namespace namecoh {
 
 EventId Simulator::schedule_at(SimTime at, std::function<void()> action) {
-  NAMECOH_CHECK(!in_pure_section(),
-                "cannot schedule events inside a pure-compute section");
   NAMECOH_CHECK(at >= now_, "cannot schedule an event in the past");
   NAMECOH_CHECK(static_cast<bool>(action), "null event action");
   std::uint32_t slot;
@@ -96,8 +94,6 @@ std::function<void()> Simulator::remove(std::uint32_t slot) {
 }
 
 bool Simulator::fire_next() {
-  NAMECOH_CHECK(!in_pure_section(),
-                "cannot fire events inside a pure-compute section");
   if (heap_.empty()) return false;
   const std::uint32_t slot = heap_.front();
   now_ = slots_[slot].at;
@@ -116,8 +112,6 @@ std::uint64_t Simulator::run(std::uint64_t max_events) {
 }
 
 std::uint64_t Simulator::run_until(SimTime until) {
-  NAMECOH_CHECK(!in_pure_section(),
-                "cannot run the simulator inside a pure-compute section");
   std::uint64_t fired = 0;
   // The heap holds only live events, so its head is the next one to fire.
   while (!heap_.empty() && slots_[heap_.front()].at <= until) {
@@ -136,8 +130,6 @@ std::uint64_t Simulator::run_while(const std::function<bool()>& keep_going) {
 }
 
 void Simulator::reset() {
-  NAMECOH_CHECK(!in_pure_section(),
-                "cannot reset the simulator inside a pure-compute section");
   // Freeing a slot moves its generation on, so ids from before the reset
   // cannot cancel events scheduled after it.
   while (!heap_.empty()) remove(heap_.back());

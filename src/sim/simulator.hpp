@@ -79,14 +79,7 @@ class Simulator {
   /// the reset are invalidated.
   void reset();
 
-  /// True while a pure-compute section is open (see PureComputeSection).
-  /// Scheduling or firing events is a thrown precondition violation while
-  /// this holds — the explicit boundary between pure computation and
-  /// simulated time (docs/PARALLELISM.md).
-  [[nodiscard]] bool in_pure_section() const { return pure_depth_ > 0; }
-
  private:
-  friend class PureComputeSection;
   /// One queued event. Slots are reused through free_; heap_pos is the
   /// slot's index in heap_ while it is queued, so cancel() can remove it
   /// without searching.
@@ -123,32 +116,6 @@ class Simulator {
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t events_processed_ = 0;
-  int pure_depth_ = 0;
-};
-
-/// RAII marker for the "pure compute vs simulated event" boundary
-/// (docs/PARALLELISM.md). While a section is open — typically for the
-/// duration of a parallel resolution batch on the worker pool — the
-/// simulator is fenced: schedule_at/schedule_in, run/run_until/run_while,
-/// and reset all throw PreconditionError. The fence is what makes the seam
-/// checkable rather than aspirational: a worker (or a callback reached from
-/// one) that tries to touch simulated time fails loudly at the boundary
-/// instead of racing the event queue. Constructing with nullptr is a no-op,
-/// so callers without a simulator (purely local batches) need no branch.
-/// Sections nest; the fence lifts when the outermost one closes.
-class PureComputeSection {
- public:
-  explicit PureComputeSection(Simulator* sim) : sim_(sim) {
-    if (sim_) ++sim_->pure_depth_;
-  }
-  PureComputeSection(const PureComputeSection&) = delete;
-  PureComputeSection& operator=(const PureComputeSection&) = delete;
-  ~PureComputeSection() {
-    if (sim_) --sim_->pure_depth_;
-  }
-
- private:
-  Simulator* sim_;
 };
 
 }  // namespace namecoh

@@ -69,20 +69,6 @@ void Histogram::add(double x) {
   ++total_;
 }
 
-void Histogram::merge(const Histogram& other) {
-  NAMECOH_CHECK(boundaries_ == other.boundaries_,
-                "histogram merge requires identical boundaries");
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    counts_[i] += other.counts_[i];
-  }
-  if (other.total_ > 0) {
-    observed_max_ =
-        total_ == 0 ? other.observed_max_
-                    : std::max(observed_max_, other.observed_max_);
-  }
-  total_ += other.total_;
-}
-
 double Histogram::quantile(double q) const {
   if (total_ == 0) return 0.0;
   q = std::clamp(q, 0.0, 1.0);

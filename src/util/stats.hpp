@@ -71,15 +71,6 @@ class Histogram {
 
   void add(double x);
 
-  /// Fold another histogram with *identical boundaries* into this one
-  /// (counts, total, observed max). This is the per-thread-shard merge of
-  /// docs/PARALLELISM.md — each worker accumulates into its own histogram
-  /// and the driving thread merges them at the batch barrier — and it is
-  /// exactly bucket-count addition, so merging is associative, commutative,
-  /// and independent of worker timing. Throws PreconditionError on a
-  /// boundary mismatch.
-  void merge(const Histogram& other);
-
   [[nodiscard]] std::uint64_t total() const { return total_; }
   [[nodiscard]] const std::vector<std::uint64_t>& counts() const {
     return counts_;

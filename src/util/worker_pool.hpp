@@ -11,9 +11,7 @@
 // Threads are started once and parked between generations (condvar), so a
 // bench issuing thousands of batches pays thread creation once. Worker
 // bodies must confine themselves to pure computation: no Simulator calls
-// (the pure-compute fence in sim/simulator.hpp turns violations into thrown
-// preconditions on the owning thread), no shared mutable state except the
-// explicitly sharded structures (NameTable, MetricsShard). An exception
+// and no shared mutable state except the sharded NameTable. An exception
 // escaping a body is captured and rethrown from run() on the caller.
 #pragma once
 

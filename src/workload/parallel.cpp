@@ -103,9 +103,7 @@ ParallelOutcome run_parallel(Simulator& sim, ResolverClient& client,
 
 LocalBatchOutcome run_local_batches(const NamingGraph& graph,
                                     const std::vector<ParallelQuery>& queries,
-                                    const LocalBatchSpec& spec,
-                                    MetricsRegistry* metrics,
-                                    Tracer* tracer) {
+                                    const LocalBatchSpec& spec) {
   NAMECOH_CHECK(!queries.empty(), "local batch workload needs queries");
   NAMECOH_CHECK(spec.batch_size > 0 && spec.batches > 0,
                 "local batch workload needs batch_size and batches >= 1");
@@ -123,10 +121,6 @@ LocalBatchOutcome run_local_batches(const NamingGraph& graph,
   std::vector<Rng> streams;
   streams.reserve(workers);
   for (std::size_t w = 0; w < workers; ++w) streams.push_back(root.child(w));
-
-  exec::BatchOptions options;
-  options.metrics = metrics;
-  options.tracer = tracer;
 
   LocalBatchOutcome out;
   out.workers = workers;
@@ -146,11 +140,10 @@ LocalBatchOutcome run_local_batches(const NamingGraph& graph,
       }
     }
     exec::BatchOutcome result =
-        par ? exec::resolve_batch(
-                  exec::ParPolicy{pool.get(), workers}, graph,
-                  {batch.data(), batch.size()}, options)
+        par ? exec::resolve_batch(exec::ParPolicy{pool.get(), workers},
+                                  graph, {batch.data(), batch.size()})
             : exec::resolve_batch(exec::SeqPolicy{}, graph,
-                                  {batch.data(), batch.size()}, options);
+                                  {batch.data(), batch.size()});
     out.resolutions += result.results.size();
     out.ok += result.ok;
     out.failed += result.failed;

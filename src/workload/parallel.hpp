@@ -118,13 +118,9 @@ struct LocalBatchOutcome {
 };
 
 /// Drive `spec.batches` batches of `spec.batch_size` resolutions against
-/// `graph`, drawing queries from `queries`. Optional metrics/tracer are
-/// forwarded to exec::resolve_batch (per-worker shards, merged at each
-/// barrier).
+/// `graph`, drawing queries from `queries`.
 LocalBatchOutcome run_local_batches(const NamingGraph& graph,
                                     const std::vector<ParallelQuery>& queries,
-                                    const LocalBatchSpec& spec,
-                                    MetricsRegistry* metrics = nullptr,
-                                    Tracer* tracer = nullptr);
+                                    const LocalBatchSpec& spec);
 
 }  // namespace namecoh

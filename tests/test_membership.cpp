@@ -1,6 +1,7 @@
 // Dynamic membership tests (docs/MEMBERSHIP.md): the MembershipDirectory
 // lifecycle state machine, graceful leave with live subtree handoff (zero
-// lost lookups under closed-loop load), rejoin handback via ring
+// lost lookups under closed-loop load) and its forced-cutover fallback
+// when every copy push is lost, rejoin handback via ring
 // stability, crash-leave re-delegation, the §6 regression — machine
 // renumbering must not break partially-qualified (name-closed) resolution
 // while it visibly kills fully-qualified pids — rename-tombstone windows,
@@ -125,11 +126,10 @@ TEST(MembershipHandoff, GracefulLeaveMigratesSubtreesLive) {
   for (EntityId t : owned) {
     EXPECT_NE(cluster->homes().shard_of(t), ShardId{1});
   }
-  EXPECT_GE(members.handoffs().size(), owned.size());
-  for (const HandoffRecord& record : members.handoffs()) {
-    EXPECT_TRUE(record.live);
-    EXPECT_EQ(record.from, ShardId{1});
-  }
+  const StatsSnapshot stats = members.snapshot();
+  EXPECT_EQ(stats["handoffs_live"], owned.size());
+  EXPECT_EQ(stats["handoffs_forced"], 0u);
+  EXPECT_EQ(stats["redelegations"], 0u);
   EXPECT_FALSE(cluster->service().server_on(leaver).is_ok());
 
   // Resolution through the moved subtrees keeps working.
@@ -137,6 +137,57 @@ TEST(MembershipHandoff, GracefulLeaveMigratesSubtreesLive) {
       cluster->client().resolve(fabric.root, CompoundName::relative("c0/c0/f"));
   ASSERT_TRUE(hit.is_ok());
   EXPECT_EQ(hit.value(), fabric.leaf);
+}
+
+TEST(MembershipHandoff, AbortedCopyFallsBackToForcedCutover) {
+  Fabric fabric;
+  auto cluster = make_cluster(fabric, 3);
+  MembershipDirectory& members = *cluster->membership();
+  const MachineId leaver = cluster->machine(1);
+
+  std::vector<EntityId> owned;
+  for (EntityId t : fabric.subtrees) {
+    if (cluster->homes().shard_of(t) == ShardId{1}) owned.push_back(t);
+  }
+  ASSERT_FALSE(owned.empty());
+
+  // The leaver is the copy's origin: cut it off from every other shard
+  // machine, one way, so each copy and catch-up push is lost and every
+  // driver migration aborts after its last catch-up round.
+  for (MachineId m : cluster->machines()) {
+    if (m != leaver) {
+      cluster->faults()->partition_one_way(leaver.value(), m.value());
+    }
+  }
+  ASSERT_TRUE(members.graceful_leave(leaver).is_ok());
+  members.run_handoffs_to_completion();
+
+  // Every copy and catch-up push was sent and lost on the partition.
+  const std::uint64_t pushed =
+      cluster->metrics().counter_value("ns.rebalance.snapshots_pushed");
+  EXPECT_GT(pushed, 0u);
+  EXPECT_EQ(cluster->metrics().counter_value(
+                "transport.fault.partition_drops"),
+            pushed);
+
+  // The leave still completes: each aborted step is cut over directly.
+  for (EntityId t : owned) {
+    EXPECT_NE(cluster->homes().shard_of(t), ShardId{1});
+  }
+  const StatsSnapshot stats = members.snapshot();
+  EXPECT_EQ(stats["handoffs_forced"], owned.size());
+  EXPECT_EQ(stats["handoffs_live"], 0u);
+  EXPECT_EQ(cluster->metrics().counter_value(
+                "ns.rebalance.migrations_aborted"),
+            owned.size());
+  EXPECT_EQ(members.state(leaver), MemberState::kDown);
+  EXPECT_FALSE(cluster->service().server_on(leaver).is_ok());
+
+  // The new owners serve the moved names straight from the shared graph.
+  for (EntityId t : owned) {
+    EXPECT_TRUE(
+        cluster->client().resolve(t, CompoundName::relative("c0/c1")).is_ok());
+  }
 }
 
 TEST(MembershipHandoff, GracefulLeaveLosesNoLookupsUnderLoad) {
@@ -222,9 +273,8 @@ TEST(MembershipCrash, CrashLeaveRedelegatesOrphanedSubtrees) {
   const StatsSnapshot stats = members.snapshot();
   EXPECT_EQ(stats["crashes"], 1u);
   EXPECT_EQ(stats["redelegations"], owned.size());
-  for (const HandoffRecord& record : members.handoffs()) {
-    EXPECT_FALSE(record.live);
-  }
+  EXPECT_EQ(stats["handoffs_live"], 0u);
+  EXPECT_EQ(stats["handoffs_forced"], 0u);
 
   // Resolution of names under the re-delegated subtrees succeeds against
   // the survivors' primaries (the graph is shared; no copy was needed).

