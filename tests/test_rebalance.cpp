@@ -8,6 +8,7 @@
 
 #include <optional>
 #include <string>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -328,6 +329,101 @@ TEST_F(MigrationTest, AbortsCleanlyOnPartitionedTarget) {
   Result<EntityId> hit = client.resolve(root_, CompoundName::relative("c0/f"));
   ASSERT_TRUE(hit.is_ok());
   EXPECT_EQ(hit.value(), leaf_);
+}
+
+// --- Migrations into replicated shards ----------------------------------------
+
+// Two more shards over mc and a fourth machine md: s3 = {mc, md} and
+// s4 = {md, mc}, so each of mc and md is the primary of one and the
+// secondary of the other. A probe endpoint asks one machine's server
+// directly, so a test sees what that very replica answers.
+class ReplicatedTargetTest : public MigrationTest {
+ protected:
+  ReplicatedTargetTest() {
+    md_ = net_.add_machine(net_.network_of(ma_).value(), "md");
+    s3_ = homes_.add_shard({mc_, md_});
+    s4_ = homes_.add_shard({md_, mc_});
+    service_.add_server(md_);
+    // Every leaf of x_'s subtree binds a data name too, so each moved
+    // context has something to answer.
+    for (const EntityId ctx : homes_.shard_subtree(graph_, x_)) {
+      if (graph_.context(ctx).bindings().empty()) {
+        EXPECT_TRUE(graph_.bind(ctx, Name("d"), leaf_).is_ok());
+      }
+    }
+    probe_ = net_.add_endpoint(mclient_, "probe");
+    transport_.set_handler(probe_, [this](EndpointId, const Message& m) {
+      reply_ = decode_resolve_reply(m);
+    });
+  }
+
+  /// What `machine`'s server answers for `name` in `ctx`.
+  ResolveReply ask(MachineId machine, EntityId ctx, const std::string& name) {
+    const Location server =
+        net_.location_of(service_.server_on(machine).value()).value();
+    reply_.reset();
+    EXPECT_TRUE(transport_
+                    .send(probe_,
+                          relativize(server, net_.location_of(probe_).value()),
+                          encode_resolve_request(
+                              ResolveRequest{next_corr_++, ctx, name, 0}))
+                    .is_ok());
+    sim_.run_while([&] { return !reply_.has_value(); });
+    EXPECT_TRUE(reply_.has_value());
+    return reply_.value_or(ResolveReply{});
+  }
+
+  /// Every (context, name, target) bound in x_'s subtree now.
+  std::vector<std::tuple<EntityId, Name, EntityId>> moved_names() const {
+    std::vector<std::tuple<EntityId, Name, EntityId>> out;
+    for (const EntityId ctx : homes_.shard_subtree(graph_, x_)) {
+      for (const Binding& b : graph_.context(ctx).bindings()) {
+        out.emplace_back(ctx, b.name, b.entity);
+      }
+    }
+    return out;
+  }
+
+  MachineId md_;
+  ShardId s3_, s4_;
+  EndpointId probe_;
+  std::optional<ResolveReply> reply_;
+  std::uint64_t next_corr_ = 1;
+};
+
+TEST_F(ReplicatedTargetTest, MigrationCopyReachesTheTargetSecondaryIntact) {
+  // x_'s "f" is rebound after the first copy round snapshotted x_, so
+  // catch-up must re-push it; the secondary has to end up with the new
+  // target, not the copied one.
+  const EntityId extra = graph_.add_data_object("extra");
+  sim_.schedule_at(15, [&] {
+    ASSERT_TRUE(graph_.unbind(x_, Name("f")).is_ok());
+    ASSERT_TRUE(graph_.bind(x_, Name("f"), extra).is_ok());
+  });
+  ASSERT_TRUE(driver_.start(x_, s3_, fast_options()).is_ok());
+  sim_.run_while([&] { return driver_.active(); });
+  ASSERT_EQ(driver_.phase(), MigrationPhase::kForwarding);
+  EXPECT_GE(driver_.report().catchup_rounds, 1u);
+  ASSERT_TRUE(homes_.is_replica(x_, md_));
+  ASSERT_FALSE(homes_.is_primary(x_, md_));
+
+  // After the cutover md is a secondary: it answers every moved name from
+  // the copy it applied, stamped with the graph's epoch.
+  const std::uint64_t store_answers = server_counter("store_answers");
+  const auto moved = moved_names();
+  ASSERT_GE(moved.size(), 11u);
+  for (const auto& [ctx, name, target] : moved) {
+    const ResolveReply reply = ask(md_, ctx, name.text());
+    EXPECT_EQ(reply.disposition, NsWire::kAnswer) << name.text() << ": "
+                                                  << reply.error;
+    EXPECT_EQ(reply.entity, target) << name.text();
+    EXPECT_EQ(reply.authority, ctx);
+    EXPECT_EQ(reply.epoch, graph_.rebind_epoch(ctx));
+  }
+  EXPECT_EQ(ask(md_, x_, "f").entity, extra);
+  EXPECT_EQ(server_counter("store_answers"), store_answers + moved.size() + 1);
+  driver_.run_to_completion();
+  EXPECT_EQ(driver_.phase(), MigrationPhase::kDone);
 }
 
 // --- Same-seed determinism under closed-loop load -----------------------------
