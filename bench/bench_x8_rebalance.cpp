@@ -399,7 +399,7 @@ void BM_SnapshotPushApply(benchmark::State& state) {
   NameService service(graph, net, transport, homes);
   service.add_server(from);
   service.add_server(to);
-  service.open_migration_intake(to, {ctx});
+  service.open_migration_intake(to, {ctx}, NameService::Intake::kFullCopy);
   const Name moving("moving");
   bool flip = false;
   for (auto _ : state) {

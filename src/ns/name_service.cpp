@@ -147,11 +147,21 @@ void NameService::drop_leases(MachineId machine, EntityId ctx) {
 }
 
 void NameService::open_migration_intake(MachineId target,
-                                        const std::vector<EntityId>& ctxs) {
+                                        const std::vector<EntityId>& ctxs,
+                                        Intake kind) {
   auto& allowed = intake_[target];
-  allowed.insert(allowed.end(), ctxs.begin(), ctxs.end());
-  std::sort(allowed.begin(), allowed.end());
-  allowed.erase(std::unique(allowed.begin(), allowed.end()), allowed.end());
+  for (EntityId ctx : ctxs) allowed.push_back(IntakeContext{ctx, kind});
+  // kFullCopy sorts first, so a context listed under both kinds keeps
+  // full copies.
+  std::sort(allowed.begin(), allowed.end(),
+            [](const IntakeContext& a, const IntakeContext& b) {
+              return std::tie(a.ctx, a.kind) < std::tie(b.ctx, b.kind);
+            });
+  allowed.erase(std::unique(allowed.begin(), allowed.end(),
+                            [](const IntakeContext& a, const IntakeContext& b) {
+                              return a.ctx == b.ctx;
+                            }),
+                allowed.end());
 }
 
 void NameService::close_migration_intake(MachineId target) {
@@ -425,22 +435,22 @@ void NameService::maybe_clean(EntityId ctx) {
 
 std::optional<std::uint64_t> NameService::replica_epoch(MachineId machine,
                                                         EntityId ctx) const {
-  const ReplicaState* state = find(machine, ctx);
-  if (state == nullptr) return std::nullopt;
-  return state->epoch;
+  const ReplicaEntry* entry = find(machine, ctx);
+  if (entry == nullptr) return std::nullopt;
+  return entry->epoch;
 }
 
-const NameService::ReplicaState* NameService::find(MachineId machine,
+const NameService::ReplicaEntry* NameService::find(MachineId machine,
                                                    EntityId ctx) const {
   if (ctx.value() >= store_head_.size()) return nullptr;
   for (std::uint32_t i = store_head_[ctx.value()]; i != kNoEntry;
        i = store_entries_[i].next) {
-    if (store_entries_[i].machine == machine) return &store_entries_[i].state;
+    if (store_entries_[i].machine == machine) return &store_entries_[i];
   }
   return nullptr;
 }
 
-std::pair<NameService::ReplicaState*, bool> NameService::find_or_add(
+std::pair<NameService::ReplicaEntry*, bool> NameService::find_or_add(
     MachineId machine, EntityId ctx) {
   if (ctx.value() >= store_head_.size()) {
     store_head_.resize(std::max<std::size_t>(graph_.entity_count(),
@@ -450,13 +460,13 @@ std::pair<NameService::ReplicaState*, bool> NameService::find_or_add(
   std::uint32_t& head = store_head_[ctx.value()];
   for (std::uint32_t i = head; i != kNoEntry; i = store_entries_[i].next) {
     if (store_entries_[i].machine == machine) {
-      return {&store_entries_[i].state, false};
+      return {&store_entries_[i], false};
     }
   }
   NAMECOH_CHECK(store_entries_.size() < kNoEntry, "replica table is full");
-  store_entries_.push_back(ReplicaEntry{machine, head, ReplicaState{}});
+  store_entries_.push_back(ReplicaEntry{machine, head, false, 0, {}});
   head = static_cast<std::uint32_t>(store_entries_.size() - 1);
-  return {&store_entries_.back().state, true};
+  return {&store_entries_.back(), true};
 }
 
 bool NameService::note_duplicate(std::uint64_t corr) {
@@ -469,44 +479,72 @@ bool NameService::note_duplicate(std::uint64_t corr) {
   return false;
 }
 
+std::optional<NameService::Intake> NameService::intake_of(
+    MachineId machine, EntityId ctx) const {
+  // A secondary for this context applies pushes whole — and so does a
+  // migration target with an open intake for it, unless that intake is
+  // epoch-only (the copy phase fills the store *before* the cutover makes
+  // the machine authoritative; docs/REBALANCING.md). Anything else — e.g. a
+  // push delayed across a replica-set change — is a stray.
+  if (homes_.is_replica(ctx, machine) && !homes_.is_primary(ctx, machine)) {
+    return Intake::kFullCopy;
+  }
+  auto open = intake_.find(machine);
+  if (open == intake_.end()) return std::nullopt;
+  auto it = std::lower_bound(
+      open->second.begin(), open->second.end(), ctx,
+      [](const IntakeContext& c, EntityId id) { return c.ctx < id; });
+  if (it == open->second.end() || it->ctx != ctx) return std::nullopt;
+  return it->kind;
+}
+
 void NameService::handle_update(EndpointId self, const Message& message) {
-  std::optional<UpdatePush> push = decode_update_push(message);
-  if (!push) return;  // malformed: apply nothing rather than half a snapshot
-  const EntityId ctx = push->ctx;
-  const std::uint64_t epoch = push->epoch;
+  // The head alone decides whether this server takes the push at all.
+  const std::optional<UpdateHead> head = decode_update_head(message);
+  if (!head) return;
+  const EntityId ctx = head->ctx;
+  const std::uint64_t epoch = head->epoch;
   auto my_machine = net_.machine_of(self);
   if (!my_machine.is_ok()) return;
-  // Only a secondary for this context applies pushes — or a migration
-  // target with an open intake for it (the copy phase fills the store
-  // *before* the cutover makes the machine authoritative;
-  // docs/REBALANCING.md). Anything else — e.g. a push delayed across a
-  // replica-set change — is a stray.
-  const bool secondary = homes_.is_replica(ctx, my_machine.value()) &&
-                         !homes_.is_primary(ctx, my_machine.value());
-  if (!secondary) {
-    auto open = intake_.find(my_machine.value());
-    if (open == intake_.end() ||
-        !std::binary_search(open->second.begin(), open->second.end(), ctx)) {
-      return;
-    }
+  const MachineId machine = my_machine.value();
+  const std::optional<Intake> intake = intake_of(machine, ctx);
+  if (!intake) return;
+  // A malformed push applies nothing rather than half a snapshot. An
+  // epoch-only intake checks the frame as strictly but builds nothing, so
+  // no name of it is interned.
+  const bool epoch_only = *intake == Intake::kEpochOnly;
+  std::vector<Binding> bindings;
+  if (epoch_only) {
+    if (!validate_update_push(message)) return;
+  } else {
+    std::optional<UpdatePush> push = decode_update_push(message);
+    if (!push) return;
+    bindings = std::move(push->bindings);
   }
   Tracer& tracer = transport_.tracer();
   const SimTime now = transport_.simulator().now();
-  auto [state, fresh] = find_or_add(my_machine.value(), ctx);
-  if (!fresh && epoch <= state->epoch) {
-    // Apply-if-newer: re-deliveries and reordered pushes of an older
-    // snapshot must never roll the store backwards.
+  auto [entry, fresh] = find_or_add(machine, ctx);
+  // Apply-if-newer: re-deliveries and reordered pushes of an older
+  // snapshot must never roll the store backwards. At an equal epoch only
+  // a full snapshot filling an epoch-only entry applies: both are of the
+  // same graph state, and only the full one can be served.
+  const bool fills = epoch == entry->epoch && entry->epoch_only && !epoch_only;
+  if (!fresh && epoch <= entry->epoch && !fills) {
     updates_stale_->inc();
     tracer.record(now, EventKind::kUpdateStale, 0, ctx.value(), epoch);
     return;
   }
-  *state = ReplicaState{epoch, std::move(push->bindings)};
+  entry->epoch = epoch;
+  entry->epoch_only = epoch_only;
+  // Move-assigning frees what the entry held; clear() would keep the
+  // capacity, and with it every byte of an epoch-only entry's old copy.
+  entry->bindings = std::move(bindings);
   updates_applied_->inc();
   tracer.record(now, EventKind::kUpdateApply, 0, ctx.value(), epoch);
   // A secondary's lease state (if it ever granted any) is superseded by
   // the snapshot: the primary owns invalidation, so stale local promises
   // are dropped rather than pushed.
-  drop_leases(my_machine.value(), ctx);
+  drop_leases(machine, ctx);
   // This apply may have been the last laggard; keep the dirty set tight.
   maybe_clean(ctx);
 }
@@ -604,11 +642,13 @@ void NameService::walk(const Inbound& in, EntityId ctx, NameSlice components) {
     }
     const bool here = homes_.is_replica(ctx, in.machine);
     const bool primary = here && homes_.is_primary(ctx, in.machine);
-    const ReplicaState* state =
+    const ReplicaEntry* state =
         here && !primary ? find(in.machine, ctx) : nullptr;
-    if (!primary && state == nullptr) {
-      // Not served here, or a secondary that never synced: answering from
-      // nothing would turn "no snapshot yet" into a spurious NOT_FOUND.
+    if (!primary && (state == nullptr || state->epoch_only)) {
+      // Not served here, or a secondary that never synced — an epoch-only
+      // entry holds no bindings, so it counts as never synced: answering
+      // from nothing would turn "no snapshot yet" into a spurious
+      // NOT_FOUND.
       if (!here) note_forwarded(in, ctx);
       refer_to_primary(in, ctx, replicas.front(), components.subslice(i));
       return;

@@ -121,13 +121,23 @@ class NameService {
   // --- Online rebalancing hooks (docs/REBALANCING.md) ----------------------
   // Used by MigrationDriver; safe to ignore everywhere else.
 
+  /// What a migration target keeps of the copies pushed to it. A target
+  /// shard's secondaries will answer from their copies after the cutover,
+  /// so they keep them whole; its primary will answer from the naming
+  /// graph, so it needs only the epochs the catch-up rounds compare.
+  enum class Intake : std::uint8_t { kFullCopy, kEpochOnly };
+
   /// Let `target`'s server apply kUpdatePush snapshots for `ctxs` even
   /// though the authority map does not (yet) list it as a secondary — the
   /// copy phase of a migration fills the target's replica store *before*
-  /// the cutover makes it authoritative. close_migration_intake drops the
-  /// whole allowance (idempotent).
+  /// the cutover makes it authoritative. Under kEpochOnly the server checks
+  /// each push as strictly as a full apply but builds and interns no
+  /// binding: it keeps the epoch in an entry the walk never serves.
+  /// Opening again merges the lists; a context listed under both kinds
+  /// keeps full copies. close_migration_intake drops the whole allowance
+  /// (idempotent).
   void open_migration_intake(MachineId target,
-                             const std::vector<EntityId>& ctxs);
+                             const std::vector<EntityId>& ctxs, Intake kind);
   void close_migration_intake(MachineId target);
 
   /// Push one context's current bindings + rebind epoch to `to`'s server
@@ -156,19 +166,26 @@ class NameService {
                            const std::vector<EntityId>& roots);
 
  private:
-  /// A secondary's applied snapshot of one context.
-  struct ReplicaState {
-    std::uint64_t epoch = 0;
-    std::vector<Binding> bindings;
-  };
+  static constexpr std::uint32_t kNoEntry = 0xffffffffU;
   /// One machine's applied snapshot of one context: a link in that
   /// context's chain of the replica table (see store_head_).
   struct ReplicaEntry {
     MachineId machine;
-    std::uint32_t next;  ///< next entry for the same context, or kNoEntry
-    ReplicaState state;
+    std::uint32_t next = kNoEntry;  ///< next entry for the same context
+    /// Applied through an epoch-only intake: `epoch` is the snapshot's,
+    /// `bindings` stays empty, and the walk treats the entry as never
+    /// synced. A full snapshot at the same epoch fills it.
+    bool epoch_only = false;
+    std::uint64_t epoch = 0;
+    std::vector<Binding> bindings;
   };
-  static constexpr std::uint32_t kNoEntry = 0xffffffffU;
+  // The flag sits in the padding after `next`: an entry stays 48 bytes.
+  static_assert(sizeof(ReplicaEntry) <= 48);
+  /// A migration intake's allowance for one context.
+  struct IntakeContext {
+    EntityId ctx;
+    Intake kind;
+  };
 
   /// One callback promise: "holder may trust answers about the context
   /// until `expires`; I will push kInvalidate if it rebinds before then."
@@ -237,13 +254,18 @@ class NameService {
                      EntityId ctx);
 
   void handle_update(EndpointId self, const Message& message);
+  /// How `machine` takes a push of `ctx`: whole when it is a secondary,
+  /// as its migration intake says when one lists `ctx`; nullopt for a
+  /// stray.
+  [[nodiscard]] std::optional<Intake> intake_of(MachineId machine,
+                                                EntityId ctx) const;
   /// `machine`'s applied snapshot of `ctx`; nullptr when it never applied
   /// one.
-  [[nodiscard]] const ReplicaState* find(MachineId machine,
+  [[nodiscard]] const ReplicaEntry* find(MachineId machine,
                                          EntityId ctx) const;
   /// `machine`'s snapshot of `ctx`, adding an empty one (epoch 0, no
   /// bindings) when there is none; `second` is true when it was added.
-  std::pair<ReplicaState*, bool> find_or_add(MachineId machine, EntityId ctx);
+  std::pair<ReplicaEntry*, bool> find_or_add(MachineId machine, EntityId ctx);
   /// Record `corr` in the bounded recently-seen window; true if it was
   /// already there (i.e. this request is a retransmission).
   bool note_duplicate(std::uint64_t corr);
@@ -307,9 +329,10 @@ class NameService {
   std::size_t lease_capacity_ = 4096;
   std::uint64_t next_lease_id_ = 1;
   std::unordered_map<MachineId, LeaseTable> leases_;
-  /// Migration intake: target machine → sorted contexts whose pushes it
-  /// may apply despite not being a secondary (copy phase allowance).
-  std::unordered_map<MachineId, std::vector<EntityId>> intake_;
+  /// Migration intake: target machine → the contexts whose pushes it may
+  /// apply despite not being a secondary (copy phase allowance), sorted by
+  /// context, one entry each.
+  std::unordered_map<MachineId, std::vector<IntakeContext>> intake_;
   /// One cutover's forwarding window on an old-owner machine: the
   /// contexts it moved away (sorted, shared by every replica of the old
   /// shard) and the tick the window closes.

@@ -181,15 +181,29 @@ Message encode_update_push(EntityId ctx, std::uint64_t epoch,
   return message;
 }
 
-std::optional<UpdatePush> decode_update_push(const Message& message) {
+namespace {
+
+/// Reads an update push's head and leaves `in` at its first binding; `n`
+/// gets the binding count, which must match the fields left.
+std::optional<UpdateHead> read_update_head(const Message& message, Cursor& in,
+                                           std::uint64_t* n) {
   if (message.type != NsWire::kUpdatePush) return std::nullopt;
-  Cursor in(message.payload);
-  UpdatePush push;
-  std::uint64_t n = 0;
-  if (!in.entity(&push.ctx) || !in.u64(&push.epoch) || !in.u64(&n) ||
-      in.left() % 2 != 0 || n != in.left() / 2) {
+  UpdateHead head;
+  if (!in.entity(&head.ctx) || !in.u64(&head.epoch) || !in.u64(n) ||
+      in.left() % 2 != 0 || *n != in.left() / 2) {
     return std::nullopt;
   }
+  return head;
+}
+
+}  // namespace
+
+std::optional<UpdatePush> decode_update_push(const Message& message) {
+  Cursor in(message.payload);
+  std::uint64_t n = 0;
+  const std::optional<UpdateHead> head = read_update_head(message, in, &n);
+  if (!head) return std::nullopt;
+  UpdatePush push{head->ctx, head->epoch, {}};
   push.bindings.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
     std::string_view text;
@@ -200,6 +214,28 @@ std::optional<UpdatePush> decode_update_push(const Message& message) {
     push.bindings.push_back(Binding{name.value(), target});
   }
   return push;
+}
+
+std::optional<UpdateHead> decode_update_head(const Message& message) {
+  Cursor in(message.payload);
+  std::uint64_t n = 0;
+  return read_update_head(message, in, &n);
+}
+
+std::optional<UpdateHead> validate_update_push(const Message& message) {
+  Cursor in(message.payload);
+  std::uint64_t n = 0;
+  const std::optional<UpdateHead> head = read_update_head(message, in, &n);
+  if (!head) return std::nullopt;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    std::string_view text;
+    EntityId target;
+    // Name::make refuses exactly the texts Name::is_valid does.
+    if (!in.name(&text) || !in.entity(&target) || !Name::is_valid(text)) {
+      return std::nullopt;
+    }
+  }
+  return head;
 }
 
 Message encode_invalidate(const Invalidate& invalidate) {

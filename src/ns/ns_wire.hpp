@@ -103,6 +103,12 @@ struct UpdatePush {
   std::vector<Binding> bindings;
 };
 
+/// An update push's head: the context and epoch a snapshot is of.
+struct UpdateHead {
+  EntityId ctx;
+  std::uint64_t epoch = 0;
+};
+
 /// `[u64 lease_id, u64 ctx, u64 epoch, u64 rebound_at]`: the lease is
 /// void because `ctx` rebound (to `epoch`) at `rebound_at`.
 struct Invalidate {
@@ -123,6 +129,15 @@ struct Invalidate {
 [[nodiscard]] Message encode_update_push(EntityId ctx, std::uint64_t epoch,
                                          std::span<const Binding> bindings);
 [[nodiscard]] std::optional<UpdatePush> decode_update_push(
+    const Message& message);
+/// The head alone, with the binding count checked against the fields
+/// left; the bindings themselves are not read.
+[[nodiscard]] std::optional<UpdateHead> decode_update_head(
+    const Message& message);
+/// Checks the whole push as decode_update_push does, field types, count
+/// and every name's validity, but builds nothing and interns no name: it
+/// refuses exactly the frames decode_update_push refuses.
+[[nodiscard]] std::optional<UpdateHead> validate_update_push(
     const Message& message);
 
 [[nodiscard]] Message encode_invalidate(const Invalidate& invalidate);

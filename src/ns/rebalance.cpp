@@ -67,8 +67,15 @@ Status MigrationDriver::start(EntityId root, ShardId to,
   targets_.assign(replicas.begin(), replicas.end());
   // The copy phase fills the targets' replica stores before they are
   // authoritative; the intake allowance is what lets handle_update accept
-  // those pushes.
-  for (MachineId m : targets_) service_.open_migration_intake(m, ctxs_);
+  // those pushes. The shard's first replica becomes the subtree's primary
+  // (a shard's replica set is fixed when it is added) and will answer from
+  // the naming graph, so it keeps only the epochs converged() compares;
+  // the secondaries will answer from their copies and keep them whole.
+  for (std::size_t i = 0; i < targets_.size(); ++i) {
+    service_.open_migration_intake(targets_[i], ctxs_,
+                                   i == 0 ? NameService::Intake::kEpochOnly
+                                          : NameService::Intake::kFullCopy);
+  }
   cursor_ = 0;
   opts_ = options;
   if (opts_.copy_batch == 0) opts_.copy_batch = 1;
@@ -168,8 +175,11 @@ void MigrationDriver::cutover(std::uint64_t gen) {
 void MigrationDriver::finish(MigrationPhase terminal, std::string error) {
   if (terminal == MigrationPhase::kAborted) {
     // Abort leaves the map exactly as it was; only the intake allowance
-    // (and any partial target stores, which are harmless — apply-if-newer
-    // snapshots, never served while unowned) needs tearing down.
+    // needs tearing down. Partial target stores are harmless: a machine
+    // serves a store only for contexts its shard owns, and then only
+    // from a full entry. A full entry is an apply-if-newer snapshot that
+    // any newer push supersedes; the primary's epoch-only entries never
+    // serve, and a full copy at the same epoch fills them.
     for (MachineId m : targets_) service_.close_migration_intake(m);
     aborted_->inc();
   } else {

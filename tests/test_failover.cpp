@@ -412,10 +412,14 @@ TEST_F(FailoverTest, FaultTransitionsAreCountedAndTraced) {
 // Rounds of random rebinds, publish_update and push_snapshot calls and raw
 // kUpdatePush deliveries (stale snapshots, duplicates, all reordered by a
 // reorder window) over five machines and 72 contexts, with remove_server /
-// add_server cycles between rounds and contexts added after the first
-// applies. After every drain, replica_epoch must match a std::map model of
-// strict apply-if-newer, and every secondary must answer from exactly the
-// snapshot the model says it holds.
+// add_server cycles and context moves between shards between rounds, and
+// contexts added after the first applies. Some contexts are in a full-copy
+// migration intake on m4, others in an epoch-only intake on a machine of
+// m0..m3 that a move may later make their secondary. After every drain,
+// replica_epoch must match a std::map model of strict apply-if-newer (where
+// a full snapshot also fills an epoch-only entry at its own epoch), and
+// every secondary must answer from exactly the snapshot the model says it
+// holds, or refer when it holds none or only an epoch.
 class ReplicaStoreDifferential : public ::testing::TestWithParam<int> {
  protected:
   static constexpr std::size_t kMachines = 5;  // m4: migration intake only
@@ -424,6 +428,11 @@ class ReplicaStoreDifferential : public ::testing::TestWithParam<int> {
     std::size_t to;  ///< machine index
     EntityId ctx;
     std::uint64_t epoch;
+  };
+  /// What the model says one machine holds of one context.
+  struct Held {
+    std::uint64_t epoch;
+    bool epoch_only;
   };
   struct Expected {
     EntityId ctx;
@@ -457,9 +466,12 @@ class ReplicaStoreDifferential : public ::testing::TestWithParam<int> {
   std::uint64_t draw(std::uint64_t bound) { return rng_() % bound; }
 
   /// `n` more contexts, interleaved with data objects so context ids are
-  /// not contiguous; every third one is also in m4's migration intake.
+  /// not contiguous; every third one is also in m4's full-copy migration
+  /// intake, and the others in an epoch-only intake on the one machine of
+  /// m0..m3 its shard leaves out.
   void add_contexts(std::size_t n) {
-    std::vector<EntityId> intake;
+    std::vector<EntityId> full;
+    std::vector<std::vector<EntityId>> epoch_only(4);
     for (std::size_t k = 0; k < n; ++k) {
       for (std::uint64_t pad = draw(3); pad > 0; --pad) {
         (void)graph_.add_data_object("pad");
@@ -474,12 +486,21 @@ class ReplicaStoreDifferential : public ::testing::TestWithParam<int> {
                                           shards_[ctxs_.size() % 4])
                       .is_ok());
       if (ctxs_.size() % 3 == 0) {
-        intake.push_back(ctx);
-        intake_.push_back(ctx);
+        full.push_back(ctx);
+        intake_[{4, ctx}] = NameService::Intake::kFullCopy;
+      } else {
+        const std::size_t left_out = (ctxs_.size() + 3) % 4;
+        epoch_only[left_out].push_back(ctx);
+        intake_[{left_out, ctx}] = NameService::Intake::kEpochOnly;
       }
       ctxs_.push_back(ctx);
     }
-    service_.open_migration_intake(machines_[4], intake);
+    service_.open_migration_intake(machines_[4], full,
+                                   NameService::Intake::kFullCopy);
+    for (std::size_t i = 0; i < 4; ++i) {
+      service_.open_migration_intake(machines_[i], epoch_only[i],
+                                     NameService::Intake::kEpochOnly);
+    }
   }
 
   /// Bind a fresh name, or unbind or retarget an existing one; each bumps
@@ -508,17 +529,23 @@ class ReplicaStoreDifferential : public ::testing::TestWithParam<int> {
     return epoch;
   }
 
+  /// The epoch machine `i` holds for `ctx`, full or epoch-only.
   std::optional<std::uint64_t> model(std::size_t i, EntityId ctx) const {
     auto it = model_.find({i, ctx});
     if (it == model_.end()) return std::nullopt;
-    return it->second;
+    return it->second.epoch;
   }
 
-  bool accepts(std::size_t i, EntityId ctx) const {
+  /// How machine `i` takes a push of `ctx` now; nullopt for a stray.
+  std::optional<NameService::Intake> accepts(std::size_t i,
+                                             EntityId ctx) const {
     const MachineId m = machines_[i];
-    if (homes_.is_replica(ctx, m) && !homes_.is_primary(ctx, m)) return true;
-    return i == 4 &&
-           std::find(intake_.begin(), intake_.end(), ctx) != intake_.end();
+    if (homes_.is_replica(ctx, m) && !homes_.is_primary(ctx, m)) {
+      return NameService::Intake::kFullCopy;
+    }
+    auto it = intake_.find({i, ctx});
+    if (it == intake_.end()) return std::nullopt;
+    return it->second;
   }
 
   std::size_t index_of(MachineId m) const {
@@ -585,10 +612,19 @@ class ReplicaStoreDifferential : public ::testing::TestWithParam<int> {
       }
     }
     sim_.run();
+    // Roles change only between rounds, so each (machine, context) takes
+    // every push of a round the same way and delivery order cannot matter.
     for (const Push& push : pending_) {
-      if (!accepts(push.to, push.ctx)) continue;
-      auto [it, fresh] = model_.try_emplace({push.to, push.ctx}, push.epoch);
-      if (!fresh) it->second = std::max(it->second, push.epoch);
+      const auto kind = accepts(push.to, push.ctx);
+      if (!kind) continue;
+      const Held pushed{push.epoch, *kind == NameService::Intake::kEpochOnly};
+      auto [it, fresh] = model_.try_emplace({push.to, push.ctx}, pushed);
+      Held& held = it->second;
+      if (!fresh && (pushed.epoch > held.epoch ||
+                     (pushed.epoch == held.epoch && held.epoch_only &&
+                      !pushed.epoch_only))) {
+        held = pushed;
+      }
     }
     pending_.clear();
     redeliver_held();
@@ -596,7 +632,9 @@ class ReplicaStoreDifferential : public ::testing::TestWithParam<int> {
 
   /// Apply-if-newer is strict: a snapshot at the epoch a store already
   /// holds is stale even when its bindings differ (here: none at all), so
-  /// it neither applies nor changes what the secondary answers.
+  /// it neither applies nor changes what the secondary answers. The one
+  /// exception, a full snapshot filling an epoch-only entry, is left out,
+  /// as are machines that now take no push of the context at all.
   void redeliver_held() {
     const MetricsRegistry& metrics = transport_.metrics();
     const std::uint64_t stale =
@@ -604,11 +642,16 @@ class ReplicaStoreDifferential : public ::testing::TestWithParam<int> {
     const std::uint64_t applied =
         metrics.counter_value("ns.server.updates_applied");
     std::uint64_t sent = 0;
-    for (const auto& [key, epoch] : model_) {
+    for (const auto& [key, held] : model_) {
       if (!up_[key.first] || draw(8) != 0) continue;
+      const auto kind = accepts(key.first, key.second);
+      if (!kind ||
+          (held.epoch_only && *kind == NameService::Intake::kFullCopy)) {
+        continue;
+      }
       ASSERT_TRUE(transport_
                       .send(probe_, pid_of(key.first),
-                            encode_update_push(key.second, epoch, {}))
+                            encode_update_push(key.second, held.epoch, {}))
                       .is_ok());
       ++sent;
     }
@@ -633,7 +676,8 @@ class ReplicaStoreDifferential : public ::testing::TestWithParam<int> {
   /// Ask every live secondary about one name in each of its contexts: a
   /// bound name answers from the applied snapshot, an unbound one is a
   /// NOT_FOUND stamped with the snapshot's epoch, and a context never
-  /// applied refers to the primary (an error while the primary is down).
+  /// applied, or applied epoch-only, refers to the primary (an error while
+  /// the primary is down).
   void check_answers() {
     std::map<std::uint64_t, Expected> expected;
     for (EntityId ctx : ctxs_) {
@@ -642,7 +686,13 @@ class ReplicaStoreDifferential : public ::testing::TestWithParam<int> {
         const std::size_t i = index_of(replicas[r]);
         if (!up_[i]) continue;
         const std::uint64_t corr = next_corr_++;
-        const auto applied = model(i, ctx);
+        auto held = model_.find({i, ctx});
+        std::optional<std::uint64_t> applied;
+        if (held != model_.end() && !held->second.epoch_only) {
+          applied = held->second.epoch;
+        } else if (held != model_.end()) {
+          ++epoch_only_secondaries_;
+        }
         Expected want{ctx, NsWire::kReferral, EntityId(), "", 0};
         std::string path = "absent";
         if (!applied && !up_[index_of(replicas.front())]) {
@@ -687,6 +737,17 @@ class ReplicaStoreDifferential : public ::testing::TestWithParam<int> {
     replies_.clear();
   }
 
+  /// Move a few contexts to another shard, as a cutover does, so a
+  /// machine's role for them changes while its store keeps what it holds.
+  void move_contexts() {
+    for (int k = 0; k < 8; ++k) {
+      const EntityId ctx = ctxs_[draw(ctxs_.size())];
+      const ShardId to = shards_[draw(4)];
+      if (homes_.shard_of(ctx) == to) continue;
+      ASSERT_TRUE(homes_.migrate_subtree(graph_, ctx, to).is_ok());
+    }
+  }
+
   /// Take a random subset of servers down or back up; a store outlives
   /// its server either way.
   void cycle_servers() {
@@ -714,12 +775,14 @@ class ReplicaStoreDifferential : public ::testing::TestWithParam<int> {
   std::vector<ShardId> shards_;
   EndpointId probe_;
   std::vector<EntityId> ctxs_;
-  std::vector<EntityId> intake_;
+  std::map<std::pair<std::size_t, EntityId>, NameService::Intake> intake_;
   std::uint64_t next_name_ = 0;
   std::uint64_t next_corr_ = 1;
   std::map<std::pair<EntityId, std::uint64_t>, std::vector<Binding>>
       snapshots_;
-  std::map<std::pair<std::size_t, EntityId>, std::uint64_t> model_;
+  std::map<std::pair<std::size_t, EntityId>, Held> model_;
+  /// Questions put to a secondary that held only an epoch.
+  std::size_t epoch_only_secondaries_ = 0;
   std::vector<Push> pending_;
   std::vector<Message> replies_;
 };
@@ -737,10 +800,12 @@ TEST_P(ReplicaStoreDifferential, MatchesReferenceModel) {
     check_epochs();
     check_answers();
     cycle_servers();
+    move_contexts();
     check_epochs();
     if (HasFailure()) return;
   }
   EXPECT_FALSE(model_.empty());
+  EXPECT_GT(epoch_only_secondaries_, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ReplicaStoreDifferential,

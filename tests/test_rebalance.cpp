@@ -254,8 +254,10 @@ TEST_F(MigrationTest, IntakeListsMergeAndCloseClearsThem) {
   // only while an intake lists that context.
   const std::vector<EntityId> subtree = homes_.shard_subtree(graph_, x_);
   ASSERT_EQ(subtree.size(), 7u);
-  service_.open_migration_intake(mc_, {subtree[2], subtree[0]});
-  service_.open_migration_intake(mc_, {subtree[1], subtree[0]});
+  service_.open_migration_intake(mc_, {subtree[2], subtree[0]},
+                                 NameService::Intake::kFullCopy);
+  service_.open_migration_intake(mc_, {subtree[1], subtree[0]},
+                                 NameService::Intake::kEpochOnly);
   for (std::size_t i = 0; i < 4; ++i) {
     ASSERT_TRUE(service_.push_snapshot(subtree[i], mc_));
   }
@@ -424,6 +426,125 @@ TEST_F(ReplicatedTargetTest, MigrationCopyReachesTheTargetSecondaryIntact) {
   EXPECT_EQ(server_counter("store_answers"), store_answers + moved.size() + 1);
   driver_.run_to_completion();
   EXPECT_EQ(driver_.phase(), MigrationPhase::kDone);
+}
+
+TEST_F(ReplicatedTargetTest, EpochOnlyEntryIsNeverServed) {
+  // x_ moves s1 -> s2 = {mc}: mc becomes its primary, so it kept only the
+  // epochs of the copies, and answers from the graph.
+  ASSERT_TRUE(driver_.start(x_, s2_, fast_options()).is_ok());
+  ASSERT_EQ(driver_.run_to_completion().phase, MigrationPhase::kDone);
+  for (const EntityId ctx : homes_.shard_subtree(graph_, x_)) {
+    EXPECT_EQ(service_.replica_epoch(mc_, ctx), graph_.rebind_epoch(ctx));
+  }
+  // Cut over to s4 = {md, mc} with no copy at all: mc is now a secondary
+  // whose entries hold epochs and no bindings. It must refer every moved
+  // name to md, never answer NOT_FOUND from an empty store.
+  ASSERT_TRUE(homes_.migrate_subtree(graph_, x_, s4_).is_ok());
+  const std::uint64_t store_answers = server_counter("store_answers");
+  for (const auto& [ctx, name, target] : moved_names()) {
+    const ResolveReply reply = ask(mc_, ctx, name.text());
+    EXPECT_EQ(reply.disposition, NsWire::kReferral) << name.text() << ": "
+                                                    << reply.error;
+    EXPECT_EQ(reply.entity, ctx);
+    ASSERT_FALSE(reply.replicas.empty());
+    EXPECT_EQ(reply.replicas.front().machine, md_);
+  }
+  EXPECT_EQ(server_counter("store_answers"), store_answers);
+
+  // And through a client the names still resolve, from md's graph.
+  ResolverClient client(net_, transport_, sim_, service_, mclient_, "c");
+  Result<EntityId> hit = client.resolve(root_, CompoundName::relative("c0/f"));
+  ASSERT_TRUE(hit.is_ok());
+  EXPECT_EQ(hit.value(), leaf_);
+}
+
+TEST_F(ReplicatedTargetTest, FullCopyAtEqualEpochFillsEpochOnlyEntry) {
+  // s1 -> s2 = {mc} leaves mc with epoch-only entries; s2 -> s4 = {md, mc}
+  // with no rebind in between then pushes mc a full copy at the very
+  // epoch it holds. That copy must apply, or mc — now a secondary — would
+  // have nothing to answer from.
+  ASSERT_TRUE(driver_.start(x_, s2_, fast_options()).is_ok());
+  ASSERT_EQ(driver_.run_to_completion().phase, MigrationPhase::kDone);
+  const std::uint64_t applied = server_counter("updates_applied");
+  ASSERT_TRUE(driver_.start(x_, s4_, fast_options()).is_ok());
+  sim_.run_while([&] { return driver_.active(); });
+  ASSERT_EQ(driver_.phase(), MigrationPhase::kForwarding);
+  EXPECT_EQ(driver_.report().catchup_rounds, 0u);
+  // One apply per context on each of md (epoch-only, fresh) and mc (the
+  // fill at an equal epoch).
+  EXPECT_EQ(server_counter("updates_applied"), applied + 2 * 7);
+  ASSERT_TRUE(homes_.is_replica(x_, mc_));
+  ASSERT_FALSE(homes_.is_primary(x_, mc_));
+
+  const std::uint64_t store_answers = server_counter("store_answers");
+  const auto moved = moved_names();
+  for (const auto& [ctx, name, target] : moved) {
+    const ResolveReply reply = ask(mc_, ctx, name.text());
+    EXPECT_EQ(reply.disposition, NsWire::kAnswer) << name.text() << ": "
+                                                  << reply.error;
+    EXPECT_EQ(reply.entity, target) << name.text();
+    EXPECT_EQ(reply.epoch, graph_.rebind_epoch(ctx));
+  }
+  EXPECT_EQ(server_counter("store_answers"), store_answers + moved.size());
+  driver_.run_to_completion();
+}
+
+TEST_F(ReplicatedTargetTest, EpochOnlyApplyChecksTheFrameAndInternsNothing) {
+  service_.open_migration_intake(mc_, {x_}, NameService::Intake::kEpochOnly);
+  const Location server =
+      net_.location_of(service_.server_on(mc_).value()).value();
+  const Pid to = relativize(server, net_.location_of(probe_).value());
+  auto push = [&](std::uint64_t epoch, const std::string& text) {
+    // Built by hand: encode_update_push takes interned names only.
+    Message message;
+    message.type = NsWire::kUpdatePush;
+    message.payload.add_u64(x_.value());
+    message.payload.add_u64(epoch);
+    message.payload.add_u64(1);
+    message.payload.add_name(text);
+    message.payload.add_u64(leaf_.value());
+    ASSERT_TRUE(transport_.send(probe_, to, std::move(message)).is_ok());
+    sim_.run();
+  };
+  const std::string never_seen = "epoch-only-never-seen-name";
+  ASSERT_FALSE(NameTable::global().find(never_seen).has_value());
+
+  // A name Name::make would refuse: the frame is refused whole, as the
+  // full decode refuses it.
+  push(5, "not/atomic");
+  EXPECT_FALSE(service_.replica_epoch(mc_, x_).has_value());
+  EXPECT_EQ(server_counter("updates_applied"), 0u);
+
+  push(5, never_seen);
+  EXPECT_EQ(service_.replica_epoch(mc_, x_), std::optional<std::uint64_t>(5));
+  EXPECT_EQ(server_counter("updates_applied"), 1u);
+  EXPECT_FALSE(NameTable::global().find(never_seen).has_value());
+  // Apply-if-newer holds for the epoch alone.
+  push(4, never_seen);
+  EXPECT_EQ(service_.replica_epoch(mc_, x_), std::optional<std::uint64_t>(5));
+  EXPECT_EQ(server_counter("updates_stale"), 1u);
+}
+
+TEST_F(ReplicatedTargetTest, ContextInBothIntakeKindsKeepsTheFullCopy) {
+  // mc's intake lists x_ under both kinds, and the full copy wins: once mc
+  // is x_'s secondary it answers from that copy. A context listed only
+  // epoch-only is referred instead.
+  const EntityId child = tree_.levels[2][0];
+  service_.open_migration_intake(mc_, {x_, child},
+                                 NameService::Intake::kEpochOnly);
+  service_.open_migration_intake(mc_, {x_}, NameService::Intake::kFullCopy);
+  ASSERT_TRUE(service_.push_snapshot(x_, mc_));
+  ASSERT_TRUE(service_.push_snapshot(child, mc_));
+  sim_.run();
+  service_.close_migration_intake(mc_);
+  ASSERT_TRUE(homes_.migrate_subtree(graph_, x_, s4_).is_ok());
+
+  const ResolveReply full = ask(mc_, x_, "f");
+  EXPECT_EQ(full.disposition, NsWire::kAnswer) << full.error;
+  EXPECT_EQ(full.entity, leaf_);
+  const ResolveReply epoch_only = ask(mc_, child, "c0");
+  EXPECT_EQ(epoch_only.disposition, NsWire::kReferral) << epoch_only.error;
+  EXPECT_EQ(epoch_only.entity, child);
 }
 
 // --- Same-seed determinism under closed-loop load -----------------------------

@@ -1,9 +1,14 @@
-// Tests for the wire codec: varints, byte strings, pids, typed payloads.
+// Tests for the wire codec: varints, byte strings, pids, typed payloads,
+// and the name service's two readings of an update push.
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <optional>
+#include <string>
+#include <vector>
 
 #include "net/wire.hpp"
+#include "ns/ns_wire.hpp"
 #include "util/rng.hpp"
 
 namespace namecoh {
@@ -477,6 +482,110 @@ TEST_P(WireCodecDifferential, AgreesWithFieldVectorReference) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WireCodecDifferential, ::testing::Range(1, 17));
+
+// --- kUpdatePush: the epoch-only check against the full decode --------------
+
+/// decode_update_push and validate_update_push accept or refuse `frame`
+/// alike and read the same head, which decode_update_head reads too.
+/// Returns whether they accepted it; frames the payload codec refuses
+/// reach neither and count as refused.
+bool expect_same_update_verdict(const std::vector<std::uint8_t>& frame) {
+  Result<Payload> payload = Payload::decode(frame);
+  if (!payload.is_ok()) return false;
+  Message message;
+  message.type = NsWire::kUpdatePush;
+  message.payload = std::move(payload).value();
+  const std::optional<UpdatePush> full = decode_update_push(message);
+  const std::optional<UpdateHead> checked = validate_update_push(message);
+  EXPECT_EQ(full.has_value(), checked.has_value());
+  if (!full || !checked) return false;
+  EXPECT_EQ(checked->ctx, full->ctx);
+  EXPECT_EQ(checked->epoch, full->epoch);
+  const std::optional<UpdateHead> head = decode_update_head(message);
+  EXPECT_TRUE(head.has_value());
+  if (head) {
+    EXPECT_EQ(head->ctx, full->ctx);
+    EXPECT_EQ(head->epoch, full->epoch);
+  }
+  return true;
+}
+
+class UpdatePushValidateDifferential : public ::testing::TestWithParam<int> {};
+
+TEST_P(UpdatePushValidateDifferential, RefusesExactlyWhatTheFullDecodeRefuses) {
+  Rng rng(static_cast<std::uint64_t>(GetParam()));
+  auto pick = [&rng](std::size_t lo, std::size_t hi) {
+    return lo + static_cast<std::size_t>(rng.next_below(hi - lo + 1));
+  };
+  // Names Name::make takes, then texts it refuses: empty, containing '/'
+  // (but not "/" itself, the root name), containing NUL.
+  const std::string valid[] = {"a", "/", "entry7", std::string(200, 'n')};
+  const std::string invalid[] = {"",   "x/y", "/a", "a/", "//",
+                                 std::string("a\0b", 3), std::string(1, '\0')};
+  std::size_t accepted = 0;
+  std::size_t refused = 0;
+  auto tally = [&](const std::vector<RefField>& fields) {
+    const bool ok = expect_same_update_verdict(ref_encode(fields));
+    ++(ok ? accepted : refused);
+  };
+
+  for (int round = 0; round < 40; ++round) {
+    const std::size_t n = pick(0, 6);
+    std::vector<RefField> fields;
+    fields.push_back({FieldType::kU64, rng.next(), {}, {}});      // ctx
+    fields.push_back({FieldType::kU64, pick(0, 1000), {}, {}});   // epoch
+    fields.push_back({FieldType::kU64, n, {}, {}});               // count
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::string& text = rng.bernoulli(0.9)
+                                    ? valid[pick(0, std::size(valid) - 1)]
+                                    : invalid[pick(0, std::size(invalid) - 1)];
+      fields.push_back({FieldType::kName, 0, text, {}});
+      fields.push_back({FieldType::kU64, rng.next(), {}, {}});
+    }
+    tally(fields);
+
+    // Truncations and byte flips of the encoded frame.
+    const std::vector<std::uint8_t> frame = ref_encode(fields);
+    for (int k = 0; k < 8; ++k) {
+      std::vector<std::uint8_t> cut(
+          frame.begin(),
+          frame.begin() + static_cast<std::ptrdiff_t>(
+                              pick(0, frame.size() - 1)));
+      ++(expect_same_update_verdict(cut) ? accepted : refused);
+      std::vector<std::uint8_t> flipped = frame;
+      flipped[pick(0, frame.size() - 1)] ^=
+          static_cast<std::uint8_t>(pick(1, 255));
+      ++(expect_same_update_verdict(flipped) ? accepted : refused);
+    }
+    // Forged binding counts.
+    for (std::uint64_t forged : {std::uint64_t{n} - 1, std::uint64_t{n} + 1,
+                                 std::uint64_t{n} + 1000, ~std::uint64_t{0}}) {
+      std::vector<RefField> bad = fields;
+      bad[2].u64 = forged;
+      tally(bad);
+    }
+    // A field of the wrong type at each position.
+    for (std::size_t i = 0; i < fields.size(); ++i) {
+      std::vector<RefField> bad = fields;
+      bad[i] = bad[i].type == FieldType::kU64
+                   ? RefField{FieldType::kName, 0, "t", {}}
+                   : RefField{FieldType::kU64, 1, {}, {}};
+      tally(bad);
+    }
+  }
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(refused, 0u);
+
+  // Another message type is no update push to either.
+  Message other = encode_update_push(EntityId(1), 1, {});
+  other.type = NsWire::kInvalidate;
+  EXPECT_FALSE(decode_update_push(other).has_value());
+  EXPECT_FALSE(validate_update_push(other).has_value());
+  EXPECT_FALSE(decode_update_head(other).has_value());
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, UpdatePushValidateDifferential,
+                         ::testing::Range(1, 17));
 
 }  // namespace
 }  // namespace namecoh
