@@ -372,12 +372,12 @@ void BM_MigrateSubtree(benchmark::State& state) {
 }
 BENCHMARK(BM_MigrateSubtree);
 
-void BM_SnapshotPushApply(benchmark::State& state) {
-  // One migration copy end to end: a 9-binding kUpdatePush encoded on the
-  // primary, sent, delivered, decoded and applied through the intake gate
-  // on a target that is not (yet) a replica. One binding is rebound per
-  // iteration so every push is newer than the stored snapshot and takes
-  // the apply path, not the stale one.
+/// One migration copy end to end: a 9-binding kUpdatePush encoded on the
+/// primary, sent, delivered and applied through an intake of `kind` on a
+/// target that is not (yet) a replica. One binding is rebound per
+/// iteration so every push is newer than the stored snapshot and takes
+/// the apply path, not the stale one.
+void snapshot_push_apply(benchmark::State& state, NameService::Intake kind) {
   NamingGraph graph;
   const EntityId ctx = graph.add_context_object("ctx");
   const EntityId a = graph.add_data_object("a");
@@ -399,7 +399,7 @@ void BM_SnapshotPushApply(benchmark::State& state) {
   NameService service(graph, net, transport, homes);
   service.add_server(from);
   service.add_server(to);
-  service.open_migration_intake(to, {ctx}, NameService::Intake::kFullCopy);
+  service.open_migration_intake(to, {ctx}, kind);
   const Name moving("moving");
   bool flip = false;
   for (auto _ : state) {
@@ -415,7 +415,18 @@ void BM_SnapshotPushApply(benchmark::State& state) {
       "a snapshot push was not applied");
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
+
+void BM_SnapshotPushApply(benchmark::State& state) {
+  // A secondary's copy: decoded, interned and stored whole.
+  snapshot_push_apply(state, NameService::Intake::kFullCopy);
+}
 BENCHMARK(BM_SnapshotPushApply);
+
+void BM_SnapshotPushEpochOnly(benchmark::State& state) {
+  // A future primary's copy: validated, and only its epoch kept.
+  snapshot_push_apply(state, NameService::Intake::kEpochOnly);
+}
+BENCHMARK(BM_SnapshotPushEpochOnly);
 
 void BM_UpdatePushCodec(benchmark::State& state) {
   // The codec share of one migration copy, with no simulator or service:

@@ -44,7 +44,8 @@ namespace namecoh {
 /// (`publish_update`, or periodically via `start_anti_entropy`). A
 /// secondary answers from the last snapshot it applied — possibly stale,
 /// but stamped with the snapshot's epoch so clients can see exactly how
-/// stale — and refers to the primary for contexts it has never synced.
+/// stale — and refers to the primary for contexts it has never synced
+/// (or holds only the epoch of: an epoch-only migration intake).
 class NameService {
  public:
   NameService(const NamingGraph& graph, Internetwork& net,
@@ -90,9 +91,10 @@ class NameService {
   /// namespace buys real throughput (bench_x7_shard).
   void set_service_time(SimDuration per_request);
 
-  /// The epoch a machine's replica store has applied for `ctx`; nullopt
-  /// when that machine never applied a snapshot of it. For staleness-bound
-  /// assertions (tests, bench_x4_failover).
+  /// The epoch a machine's replica store has applied for `ctx`, full or
+  /// epoch-only; nullopt when that machine never applied a snapshot of it.
+  /// For staleness-bound assertions (tests, bench_x4_failover) and the
+  /// migration driver's catch-up.
   [[nodiscard]] std::optional<std::uint64_t> replica_epoch(
       MachineId machine, EntityId ctx) const;
 
